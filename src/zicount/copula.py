@@ -14,6 +14,7 @@ every function here is deterministic.
 
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import brentq
@@ -44,6 +45,9 @@ _QMC_SEED = 202406
 _SIGMA_BRACKET = 0.9999
 _TINY = 1e-300
 _UEPS = 1e-16
+_ROOT_TOL = 1e-6  # final bracket width of every batched bridge root
+_PAIR_CHUNK = 32  # pairs per block of the batched bridge; bounds its (block, n_points) arrays
+_KENDALL_CHUNK = 1 << 20  # sign entries per row block of kendall_tau_matrix
 
 
 @dataclass(frozen=True)
@@ -83,10 +87,16 @@ def kendall_tau_matrix(data) -> KendallMatrix:
     for j in range(p):
         if np.all(Y[:, j] == Y[0, j]):
             raise ConstantColumnError(f"column {j} is constant; tau is undefined")
-    # sign(Y_ij - Y_i'j) over all ordered pairs, laid out as (p, n*n);
-    # float32 keeps the +-1 dot products exact for n*n < 2^24
-    S = np.sign(Y.T[:, :, None] - Y.T[:, None, :]).reshape(p, n * n).astype(np.float32)
-    tau = (S @ S.T).astype(np.float64) / (n * (n - 1))
+    # sign products summed over all ordered pairs (i, i'), one block of rows
+    # i at a time, so the sign array holds at most _KENDALL_CHUNK entries (or
+    # one row); the float64 block sums are exact integers, totalled in int64
+    rows = max(1, _KENDALL_CHUNK // (n * p))
+    total = np.zeros((p, p), dtype=np.int64)
+    for start in range(0, n, rows):
+        S = Y[start : start + rows, None, :] - Y[None, :, :]
+        S = np.sign(S, out=S).reshape(-1, p)
+        total += (S.T @ S).astype(np.int64)
+    tau = total / (n * (n - 1))
     np.fill_diagonal(tau, 1.0)
     return KendallMatrix(tau=tau)
 
@@ -183,24 +193,20 @@ def phi4(a, sigma4, tol: float = 1e-6) -> float:
         seed += 1009
 
 
-def _sigma4_pair(s: float):
-    """The two 4x4 correlation matrices of the truncated/truncated bridge."""
-    s4a = np.array(
-        [
-            [1.0, 0.0, 1.0 / _ROOT2, -s / _ROOT2],
-            [0.0, 1.0, -s / _ROOT2, 1.0 / _ROOT2],
-            [1.0 / _ROOT2, -s / _ROOT2, 1.0, -s],
-            [-s / _ROOT2, 1.0 / _ROOT2, -s, 1.0],
-        ]
-    )
-    s4b = np.array(
-        [
-            [1.0, s, 1.0 / _ROOT2, s / _ROOT2],
-            [s, 1.0, s / _ROOT2, 1.0 / _ROOT2],
-            [1.0 / _ROOT2, s / _ROOT2, 1.0, s],
-            [s / _ROOT2, 1.0 / _ROOT2, s, 1.0],
-        ]
-    )
+def _sigma4_pair(s):
+    """The two 4x4 correlation matrices of the truncated/truncated bridge.
+
+    An array ``s`` gives two ``s.shape + (4, 4)`` stacks.
+    """
+    s = np.asarray(s, dtype=float)
+    one, zero = np.ones_like(s), np.zeros_like(s)
+    c, h = one / _ROOT2, s / _ROOT2
+
+    def build(rows):
+        return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
+
+    s4a = build([[one, zero, c, -h], [zero, one, -h, c], [c, -h, one, -s], [-h, c, -s, one]])
+    s4b = build([[one, s, c, h], [s, one, h, c], [c, h, one, s], [h, c, s, one]])
     return s4a, s4b
 
 
@@ -217,116 +223,203 @@ def bridge_tt(sigma_jk: float, delta_j: float, delta_k: float, tol: float = 1e-6
     return -2.0 * phi4(limits, s4a, tol) + 2.0 * phi4(limits, s4b, tol)
 
 
-def _phi4_batch(a, sigmas, n_points: int, seed: int = _QMC_SEED, chunk: int = 256) -> np.ndarray:
-    """Batched 4-d Gaussian CDF, one scrambled Sobol stream shared by all
-    batch members (finite limits only, no error estimate)."""
-    a = np.asarray(a, dtype=float)
-    chols = np.linalg.cholesky(np.asarray(sigmas, dtype=float))
-    w = qmc.Sobol(3, scramble=True, seed=seed).random(n_points)
-    out = np.empty(a.shape[0])
-    for start in range(0, a.shape[0], chunk):
-        sl = slice(start, min(start + chunk, a.shape[0]))
-        ab, Cb = a[sl], chols[sl]
-        b = ab.shape[0]
-        e = ndtr(ab[:, 0, None] / Cb[:, 0, 0, None])
-        prod = np.broadcast_to(e, (b, n_points)).copy()
-        y = np.empty((b, n_points, 3))
-        for i in range(1, 4):
-            y[:, :, i - 1] = ndtri(np.clip(w[None, :, i - 1] * e, _TINY, 1.0 - _UEPS))
-            num = ab[:, i, None] - np.einsum("bnk,bk->bn", y[:, :, :i], Cb[:, i, :i])
-            e = ndtr(num / Cb[:, i, i, None])
-            prod *= e
-        out[sl] = prod.mean(axis=1)
-    return out
+# ---------------------------------------------------------------------------
+# batched bridge on one shared QMC stream
+
+
+class _TTBlock(NamedTuple):
+    """The sigma-free part of the bridge's Genz recursion for a block of pairs.
+
+    Both 4-d CDFs of the bridge have limits (-dj, -dk, 0, 0) and the same
+    first Cholesky row, and rows 0 and 1 of Sigma4a carry no sigma, so
+    these values serve every evaluation of the block. Arrays are (b, 1)
+    or (b, n_points).
+    """
+
+    ndk: np.ndarray  # -dk, the limit of row 1
+    e0: np.ndarray  # Phi(-dj)
+    y0: np.ndarray  # Phi^-1(w0 Phi(-dj)), shared by Sigma4a and Sigma4b
+    e1a: np.ndarray  # Phi(-dk), row 1 of Sigma4a
+    y1a: np.ndarray  # Phi^-1(w1 Phi(-dk))
+
+    def take(self, keep) -> "_TTBlock":
+        return _TTBlock(*(x[keep] for x in self))
+
+
+def _sobol_points(n_points: int) -> np.ndarray:
+    return qmc.Sobol(3, scramble=True, seed=_QMC_SEED).random(n_points)
+
+
+def _genz_quantile(w_col, e):
+    """Conditional Genz draw Phi^-1(w e), kept off 0 and 1."""
+    return ndtri(np.clip(w_col * e, _TINY, 1.0 - _UEPS))
+
+
+def _tt_block(dj, dk, w) -> _TTBlock:
+    ndk = -np.asarray(dk, dtype=float)[:, None]
+    e0 = ndtr(-np.asarray(dj, dtype=float)[:, None])
+    e1a = ndtr(ndk)
+    return _TTBlock(ndk, e0, _genz_quantile(w[:, 0], e0), e1a, _genz_quantile(w[:, 1], e1a))
+
+
+def _genz_rows(chol, ndk, ys, prod, w) -> np.ndarray:
+    """Rows ``len(ys)``..3 of the Genz recursion of the bridge's 4-d CDF
+    (limits -dj, ``ndk`` = -dk, 0, 0) for a (b, 4, 4) Cholesky stack, given
+    the draws ``ys`` and the factor product ``prod`` of the rows before;
+    returns the mean integrand of each batch member."""
+    ys = list(ys)
+    for i in range(len(ys), 4):
+        scale = 1.0 / chol[:, i, i, None]
+        num = ys[0] * (-chol[:, i, 0, None] * scale)
+        for k in range(1, i):
+            num -= ys[k] * (chol[:, i, k, None] * scale)
+        if i == 1:
+            num += ndk * scale
+        e = ndtr(num, out=num)
+        prod = prod * e
+        if i < 3:
+            ys.append(_genz_quantile(w[:, i], e))
+    return prod.mean(axis=1)
+
+
+def _tt_bridge(block: _TTBlock, sig, w) -> np.ndarray:
+    """Bridge value of every pair of ``block`` at its latent correlation
+    in ``sig``: one kernel evaluation per pair.
+
+    At sig = 0 the two CDFs take identical steps, so the value is exactly 0.
+    """
+    chol_a, chol_b = np.linalg.cholesky(np.stack(_sigma4_pair(sig)))
+    pa = _genz_rows(chol_a, block.ndk, (block.y0, block.y1a), block.e0 * block.e1a, w)
+    pb = _genz_rows(chol_b, block.ndk, (block.y0,), block.e0, w)
+    return -2.0 * pa + 2.0 * pb
 
 
 def _bridge_batch(sig, dj, dk, n_points: int) -> np.ndarray:
     """Vectorized bridge values for per-pair (sigma, delta_j, delta_k)."""
-    sig = np.asarray(sig, dtype=float)
-    m = sig.shape[0]
-    sigmas = np.empty((2 * m, 4, 4))
-    for idx, s in enumerate(sig):
-        s4a, s4b = _sigma4_pair(s)
-        sigmas[idx] = s4a
-        sigmas[m + idx] = s4b
-    limits = np.column_stack([-np.asarray(dj, float), -np.asarray(dk, float), np.zeros(m), np.zeros(m)])
-    a = np.vstack([limits, limits])
-    probs = _phi4_batch(a, sigmas, n_points)
-    return -2.0 * probs[:m] + 2.0 * probs[m:]
+    sig, dj, dk = (np.asarray(x, dtype=float) for x in (sig, dj, dk))
+    w = _sobol_points(n_points)
+    out = np.empty(sig.shape[0])
+    for start in range(0, sig.shape[0], _PAIR_CHUNK):
+        sl = slice(start, start + _PAIR_CHUNK)
+        out[sl] = _tt_bridge(_tt_block(dj[sl], dk[sl], w), sig[sl], w)
+    return out
 
 
 def invert_bridge(tau_hat: float, delta_j: float, delta_k: float, *, bracket_tol: float = 1e-6, phi4_tol: float = 1e-6) -> float:
     """Latent correlation whose bridge value equals ``tau_hat``.
 
-    Root of the (strictly increasing) bridge on [-0.9999, 0.9999] by
-    bracketing search; a ``tau_hat`` beyond the bridge range of that
-    interval is clamped to the nearest endpoint with a warning.
+    The bridge is strictly increasing and exactly 0 at 0, so the root lies
+    between 0 and the endpoint +-0.9999 on tau_hat's side; only that
+    endpoint is evaluated before the bracketing search. A ``tau_hat`` at or
+    beyond the endpoint's bridge value is clamped to it with a warning.
     """
     if not (np.isfinite(delta_j) and np.isfinite(delta_k)):
         raise ValueError("truncation levels must be finite")
     if tau_hat == 0.0:
         return 0.0
 
-    def g(s):
-        return bridge_tt(s, delta_j, delta_k, tol=phi4_tol) - tau_hat
-
-    lo, hi = -_SIGMA_BRACKET, _SIGMA_BRACKET
-    g_lo, g_hi = g(lo), g(hi)
-    if g_lo >= 0.0 or g_hi <= 0.0:
-        clamped = lo if g_lo >= 0.0 else hi
+    edge = float(np.copysign(_SIGMA_BRACKET, tau_hat))
+    g_edge = bridge_tt(edge, delta_j, delta_k, tol=phi4_tol) - tau_hat
+    if (g_edge <= 0.0) if tau_hat > 0.0 else (g_edge >= 0.0):
         warnings.warn(
-            f"tau_hat={tau_hat:.4g} outside the invertible range; clamped to sigma={clamped}",
+            f"tau_hat={tau_hat:.4g} outside the invertible range; clamped to sigma={edge}",
             ClampedCorrelationWarning,
             stacklevel=2,
         )
-        return clamped
-    return float(brentq(g, lo, hi, xtol=bracket_tol))
+        return edge
+    known = {0.0: -tau_hat, edge: g_edge}
+
+    def g(s):
+        return known[s] if s in known else bridge_tt(s, delta_j, delta_k, tol=phi4_tol) - tau_hat
+
+    return float(brentq(g, min(0.0, edge), max(0.0, edge), xtol=bracket_tol))
 
 
 def _invert_bridge_batch(tau, dj, dk, n_points: int = 4096) -> np.ndarray:
-    """Vectorized bisection version of :func:`invert_bridge` used for
-    whole-matrix fits; each pair advances one shared-sample bridge
-    evaluation per iteration."""
-    tau = np.asarray(tau, dtype=float)
-    dj = np.asarray(dj, dtype=float)
-    dk = np.asarray(dk, dtype=float)
-    m = tau.shape[0]
-    out = np.zeros(m)
-    active = tau != 0.0
-    if not active.any():
-        return out
+    """Batched :func:`invert_bridge` on one shared QMC stream, used for
+    whole-matrix fits.
 
-    lo = np.full(m, -_SIGMA_BRACKET)
-    hi = np.full(m, _SIGMA_BRACKET)
-    g_lo = _bridge_batch(lo[active], dj[active], dk[active], n_points)
-    g_hi = _bridge_batch(hi[active], dj[active], dk[active], n_points)
-    idx = np.flatnonzero(active)
-    clamp_lo = idx[tau[idx] <= g_lo]
-    clamp_hi = idx[tau[idx] >= g_hi]
-    out[clamp_lo] = -_SIGMA_BRACKET
-    out[clamp_hi] = _SIGMA_BRACKET
-    n_clamped = len(clamp_lo) + len(clamp_hi)
+    On a fixed stream the bridge is exactly 0 at 0, so each pair's root is
+    bracketed by 0 and the endpoint +-0.9999 on tau's side, and only that
+    endpoint is evaluated; tau at or beyond its bridge value is clamped to
+    it, with one warning for the batch. The other pairs run Illinois
+    regula falsi, with a bisection step whenever a bracket has not halved
+    in two evaluations, until every bracket is at most ``_ROOT_TOL`` wide,
+    and return its midpoint. Pairs go in blocks of ``_PAIR_CHUNK``: each
+    block computes its sigma-free Genz values once and runs its whole
+    search before the next, and converged pairs drop out. A pair costs
+    6 to 8 kernel evaluations on typical data.
+    """
+    tau, dj, dk = (np.asarray(x, dtype=float) for x in (tau, dj, dk))
+    if not (np.all(np.isfinite(tau)) and np.all(np.isfinite(dj)) and np.all(np.isfinite(dk))):
+        raise ValueError("tau and truncation levels must be finite")
+    out = np.zeros(tau.shape[0])
+    w = _sobol_points(n_points)
+    n_clamped = 0
+    pairs = np.flatnonzero(tau != 0.0)
+    for start in range(0, len(pairs), _PAIR_CHUNK):
+        idx = pairs[start : start + _PAIR_CHUNK]
+        block = _tt_block(dj[idx], dk[idx], w)
+        t = tau[idx]
+        edge = np.copysign(_SIGMA_BRACKET, t)
+        f_edge = _tt_bridge(block, edge, w) - t
+        clamp = np.where(t > 0.0, f_edge <= 0.0, f_edge >= 0.0)
+        out[idx[clamp]] = edge[clamp]
+        n_clamped += int(np.count_nonzero(clamp))
+        keep = ~clamp
+        out[idx[keep]] = _falsi_roots(block.take(keep), t[keep], edge[keep], f_edge[keep], w)
     if n_clamped:
         warnings.warn(
             f"{n_clamped} pair(s) outside the invertible range; clamped to +-{_SIGMA_BRACKET}",
             ClampedCorrelationWarning,
             stacklevel=2,
         )
-    active[clamp_lo] = False
-    active[clamp_hi] = False
-    if not active.any():
-        return out
+    return out
 
-    idx = np.flatnonzero(active)
-    lo_a, hi_a = lo[idx], hi[idx]
-    # 21 halvings bring the 2*0.9999 bracket below 1e-6
-    for _ in range(21):
-        mid = 0.5 * (lo_a + hi_a)
-        g_mid = _bridge_batch(mid, dj[idx], dk[idx], n_points)
-        below = g_mid < tau[idx]
-        lo_a = np.where(below, mid, lo_a)
-        hi_a = np.where(below, hi_a, mid)
-    out[idx] = 0.5 * (lo_a + hi_a)
+
+def _falsi_roots(block: _TTBlock, tau, edge, f_edge, w) -> np.ndarray:
+    """Roots of bridge - tau between 0 and ``edge`` for every pair of a
+    block, where ``f_edge`` (bridge - tau at ``edge``) has the sign of tau.
+
+    The brackets keep f(lo) < 0 <= f(hi).
+    """
+    pos = tau > 0.0
+    lo, hi = np.where(pos, 0.0, edge), np.where(pos, edge, 0.0)
+    f_lo, f_hi = np.where(pos, -tau, f_edge), np.where(pos, f_edge, -tau)
+    rows = np.arange(tau.shape[0])
+    # -1 if a false-position step moved lo last, +1 if one moved hi. The
+    # bridge is mostly convex on tau's side, so the first step tends to land
+    # on the anchor's side: counting the anchor as the last end moved lets
+    # that step already halve f at the edge.
+    last = np.where(pos, -1.0, 1.0)
+    # bracket width now, one and two evaluations ago
+    width, width_prev, width_back = hi - lo, np.full(tau.shape[0], np.inf), np.full(tau.shape[0], np.inf)
+    out = np.empty(tau.shape[0])
+    while rows.size:
+        falsi = lo - f_lo * (hi - lo) / (f_hi - f_lo)
+        # a step keeps half the tolerance away from the end that moved last,
+        # so a converged estimate closes the bracket with its next evaluation
+        falsi = np.where(last < 0, np.maximum(falsi, lo + 0.5 * _ROOT_TOL), np.minimum(falsi, hi - 0.5 * _ROOT_TOL))
+        bisect = width > 0.5 * width_back
+        x = np.where(bisect, 0.5 * (lo + hi), np.clip(falsi, lo, hi))
+        fx = _tt_bridge(block, x, w) - tau
+        below = fx < 0.0
+        # Illinois: an end kept by two false-position steps in a row has its
+        # stored value halved; bisection steps do not count as such steps
+        f_hi = np.where(~bisect & below & (last < 0), 0.5 * f_hi, f_hi)
+        f_lo = np.where(~bisect & ~below & (last > 0), 0.5 * f_lo, f_lo)
+        lo, f_lo = np.where(fx <= 0.0, x, lo), np.where(below, fx, f_lo)
+        hi, f_hi = np.where(below, hi, x), np.where(below, f_hi, fx)
+        last = np.where(bisect, last, np.where(below, -1.0, 1.0))
+        width, width_prev, width_back = hi - lo, width, width_prev
+        done = width <= _ROOT_TOL
+        out[rows[done]] = 0.5 * (lo[done] + hi[done])
+        if done.any():
+            keep = ~done
+            rows, tau, lo, hi, f_lo, f_hi, last, width, width_prev, width_back = (
+                v[keep] for v in (rows, tau, lo, hi, f_lo, f_hi, last, width, width_prev, width_back)
+            )
+            block = block.take(keep)
     return out
 
 
@@ -353,7 +446,10 @@ def fit_tlnpn(data, *, qmc_points: int = 4096) -> LatentCopulaModel:
 
     Pairwise bridge inversion of the Kendall's tau matrix, projection to
     the nearest positive-definite correlation, and storage of the
-    empirical marginals.
+    empirical marginals. The p(p-1)/2 inversions share one scrambled Sobol
+    stream of ``qmc_points`` points and are solved to a bracket of 1e-6 by
+    :func:`_invert_bridge_batch`; pairs whose tau lies beyond the bridge
+    range are clamped to +-0.9999 with one ``ClampedCorrelationWarning``.
     """
     Y = np.asarray(data, dtype=float)
     if Y.ndim != 2:

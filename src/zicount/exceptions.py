@@ -21,6 +21,10 @@ class DegenerateDataError(ZicountError, ValueError):
     """The response carries no information for the requested model (e.g. all zeros)."""
 
 
+class NonFiniteCoefficientsError(ZicountError, ValueError):
+    """Regression coefficients are NaN or infinite (e.g. a diverged fit)."""
+
+
 class InitializationError(ZicountError, RuntimeError):
     """No finite starting point was found after the restart budget."""
 

@@ -18,6 +18,7 @@ from .exceptions import (
     DegenerateDataError,
     IllConditionedDesignError,
     InitializationError,
+    NonFiniteCoefficientsError,
 )
 
 __all__ = [
@@ -52,7 +53,7 @@ class RegressionCoefficients:
         beta = np.atleast_1d(np.asarray(self.beta, dtype=float))
         gamma = np.atleast_1d(np.asarray(self.gamma, dtype=float)) if np.size(self.gamma) else np.empty(0)
         if not (np.all(np.isfinite(beta)) and np.all(np.isfinite(gamma)) and np.isfinite(self.log_r)):
-            raise ValueError("coefficients must be finite")
+            raise NonFiniteCoefficientsError("coefficients must be finite")
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "log_r", float(self.log_r))

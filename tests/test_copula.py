@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtri
 from scipy.stats import spearmanr
 
@@ -13,6 +15,7 @@ from zicount import (
     sample_tlnpn,
     zero_truncation_levels,
 )
+import zicount.copula as copula
 from zicount.copula import _bridge_batch, _invert_bridge_batch, _sigma4_pair
 from zicount.exceptions import (
     ClampedCorrelationWarning,
@@ -81,14 +84,45 @@ class TestKendallTauMatrix:
         rng = np.random.default_rng(0)
         Y = rng.poisson(2.0, size=(40, 3)).astype(float)
         tau = kendall_tau_matrix(Y).tau
-        n = len(Y)
-        for j in range(3):
-            for k in range(j + 1, 3):
-                acc = 0.0
-                for i in range(n):
-                    for i2 in range(i + 1, n):
-                        acc += np.sign(Y[i, j] - Y[i2, j]) * np.sign(Y[i, k] - Y[i2, k])
-                assert tau[j, k] == pytest.approx(2.0 * acc / (n * (n - 1)), abs=1e-12)
+        assert np.allclose(tau, naive_tau(Y), rtol=0.0, atol=1e-12)
+
+    def test_row_blocks_with_ties_match_naive_double_loop(self, monkeypatch):
+        # 7-row blocks: 41 rows end in a partial block
+        monkeypatch.setattr(copula, "_KENDALL_CHUNK", 7 * 41 * 3)
+        Y = np.random.default_rng(3).poisson(1.0, size=(41, 3)).astype(float)
+        assert np.allclose(kendall_tau_matrix(Y).tau, naive_tau(Y), rtol=0.0, atol=1e-12)
+
+    def test_bit_identical_to_single_float32_product(self):
+        # the whole-matrix float32 product is exact for n <= 4096
+        Y = np.random.default_rng(5).poisson(3.0, size=(300, 4)).astype(float)
+        n, p = Y.shape
+        S = np.sign(Y.T[:, :, None] - Y.T[:, None, :]).reshape(p, n * n).astype(np.float32)
+        ref = (S @ S.T).astype(np.float64) / (n * (n - 1))
+        np.fill_diagonal(ref, 1.0)
+        assert np.array_equal(kendall_tau_matrix(Y).tau, ref)
+
+    def test_exact_beyond_float32_range(self):
+        # one discordant pair among n(n-1)/2: tau = 1 - 4 / (n(n-1))
+        n = 5000
+        x = np.arange(n, dtype=float)
+        y = x.copy()
+        y[[0, 1]] = y[[1, 0]]
+        tau = kendall_tau_matrix(np.column_stack([x, y])).tau
+        assert tau[0, 1] == (n * (n - 1) - 4) / (n * (n - 1))
+
+
+def naive_tau(Y):
+    """Kendall's tau matrix by a double loop over the pairs i < i'."""
+    n, p = Y.shape
+    tau = np.eye(p)
+    for j in range(p):
+        for k in range(j + 1, p):
+            acc = 0.0
+            for i in range(n):
+                for i2 in range(i + 1, n):
+                    acc += np.sign(Y[i, j] - Y[i2, j]) * np.sign(Y[i, k] - Y[i2, k])
+            tau[j, k] = tau[k, j] = 2.0 * acc / (n * (n - 1))
+    return tau
 
 
 class TestZeroTruncationLevels:
@@ -157,6 +191,18 @@ class TestBridge:
         for dj, dk in [(0.0, 0.0), (1.0, -0.5), (-1.2, 0.7)]:
             assert bridge_tt(0.0, dj, dk) == 0.0
 
+    def test_sigma4_pair_stacks_match_scalar_calls(self):
+        sig = np.array([-0.9, 0.0, 0.35])
+        s4a, s4b = _sigma4_pair(sig)
+        assert s4a.shape == s4b.shape == (3, 4, 4)
+        for i, s in enumerate(sig):
+            a, b = _sigma4_pair(s)
+            assert np.array_equal(s4a[i], a) and np.array_equal(s4b[i], b)
+
+    def test_batch_bridge_is_exactly_zero_at_zero(self):
+        dj = np.linspace(-1.5, 1.5, 7)
+        assert np.all(_bridge_batch(np.zeros(7), dj, dj[::-1], n_points=1024) == 0.0)
+
     def test_sigma4_matrices_are_pd(self):
         for s in np.linspace(-0.999, 0.999, 41):
             s4a, s4b = _sigma4_pair(s)
@@ -208,6 +254,20 @@ class TestInvertBridge:
         with pytest.raises(ValueError):
             invert_bridge(0.2, np.inf, 0.0)
 
+    def test_evaluates_only_the_endpoint_on_tau_side(self, monkeypatch):
+        seen = []
+
+        def recording(s, dj, dk, tol=1e-6):
+            seen.append(s)
+            return bridge_tt(s, dj, dk, tol)
+
+        monkeypatch.setattr(copula, "bridge_tt", recording)
+        sigma = invert_bridge(-0.3, 0.2, -0.4)
+        assert seen[0] == -0.9999
+        assert 0.0 not in seen and 0.9999 not in seen
+        assert all(-0.9999 <= s < 0.0 for s in seen)
+        assert bridge_tt(sigma, 0.2, -0.4) == pytest.approx(-0.3, abs=1e-5)
+
     def test_batch_agrees_with_scalar(self):
         sig = np.array([-0.7, -0.2, 0.4, 0.75])
         dj = np.array([0.0, -1.0, 0.5, 1.0])
@@ -218,6 +278,81 @@ class TestInvertBridge:
             assert taus[i] == pytest.approx(scalar, abs=5e-4)
             inv = _invert_bridge_batch(np.array([scalar]), dj[i : i + 1], dk[i : i + 1], n_points=8192)[0]
             assert inv == pytest.approx(sig[i], abs=2e-3)
+
+
+def reference_bisection(tau, dj, dk, n_points, halvings=40):
+    """Root of the batched bridge by plain bisection on [-0.9999, 0.9999]."""
+    lo = np.full(len(tau), -0.9999)
+    hi = np.full(len(tau), 0.9999)
+    for _ in range(halvings):
+        mid = 0.5 * (lo + hi)
+        below = _bridge_batch(mid, dj, dk, n_points) < tau
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+class TestInvertBridgeBatch:
+    N_POINTS = 1024
+
+    @pytest.fixture(scope="class")
+    def pairs(self):
+        """Kendall's tau and truncation levels of every pair of a simulated
+        truncated copula sample, as a fit sees them."""
+        sigma = ar_correlation(CorrelationSpec(CorrKind.AR, 0.6, 12))
+        data = make_tlnpn_sample(sigma, np.linspace(-1.0, 1.0, 12), n=300, seed=12)
+        tau = kendall_tau_matrix(data).tau
+        delta = zero_truncation_levels(data)
+        ju, ku = np.triu_indices(12, k=1)
+        return tau[ju, ku], delta[ju], delta[ku]
+
+    def test_agrees_with_reference_bisection(self, pairs):
+        tau, dj, dk = pairs
+        got = _invert_bridge_batch(tau, dj, dk, n_points=self.N_POINTS)
+        want = reference_bisection(tau, dj, dk, self.N_POINTS)
+        assert np.max(np.abs(got - want)) <= 1e-6
+
+    def test_mean_kernel_evaluations_per_pair(self, pairs, monkeypatch):
+        tau, dj, dk = pairs
+        evaluated = []
+        kernel = copula._tt_bridge
+
+        def counting(block, sig, w):
+            evaluated.append(len(sig))
+            return kernel(block, sig, w)
+
+        monkeypatch.setattr(copula, "_tt_bridge", counting)
+        _invert_bridge_batch(tau, dj, dk, n_points=self.N_POINTS)
+        assert sum(evaluated) / len(tau) <= 8.0
+
+    def test_clamp_count_and_values(self):
+        tau = np.array([0.999, -0.999, 0.05, 0.0, 0.2])
+        d = np.full(5, 1.5)  # bridge range about [-0.009, 0.128]
+        with pytest.warns(ClampedCorrelationWarning, match=r"^3 pair\(s\)"):
+            out = _invert_bridge_batch(tau, d, d, n_points=self.N_POINTS)
+        assert out[0] == out[4] == 0.9999 and out[1] == -0.9999
+        assert out[3] == 0.0 and 0.0 < out[2] < 0.9999
+
+    def test_rejects_non_finite_input(self):
+        with pytest.raises(ValueError):
+            _invert_bridge_batch(np.array([np.nan]), np.zeros(1), np.zeros(1), n_points=self.N_POINTS)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(-0.95, 0.95),
+                st.floats(-1.5, 1.5),
+                st.floats(-1.5, 1.5),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    def test_round_trip(self, cases):
+        sig, dj, dk = (np.array(v) for v in zip(*cases))
+        tau = _bridge_batch(sig, dj, dk, self.N_POINTS)
+        back = _invert_bridge_batch(tau, dj, dk, n_points=self.N_POINTS)
+        assert np.max(np.abs(back - sig)) <= 1e-6
 
 
 class TestNearestCorrelation:

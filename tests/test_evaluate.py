@@ -217,6 +217,21 @@ class TestKfoldCv:
         assert all(not r.failed for r in hn)
         assert report.amc == {}
 
+    def test_non_finite_coefficients_recorded_not_fatal(self, monkeypatch):
+        import zicount.evaluate as evaluate
+        from zicount.fitting import RegressionCoefficients
+
+        def diverged_fit(y, flavor, options=None):
+            return RegressionCoefficients(beta=[np.nan], gamma=[0.0], log_r=0.0)
+
+        monkeypatch.setattr(evaluate, "fit_intercept_only", diverged_fit)
+        Y = np.random.default_rng(6).poisson(3.0, size=(60, 3))
+        report = kfold_cv(Y, k=3, seed=7)
+        hn = [r for r in report.records if r.model == "hnb"]
+        assert len(hn) == 3 and all(r.failed and "finite" in r.error for r in hn)
+        assert all(not r.failed for r in report.records if r.model == "tlnpn")
+        assert report.amc == {}
+
 
 class TestRandomSplitEval:
     def test_single_split_is_single_evaluation(self, small_setting_two):

@@ -23,7 +23,12 @@ from zicount import (
     zinb_loglik,
     zinb_pmf,
 )
-from zicount.exceptions import DegenerateDataError, IllConditionedDesignError
+from zicount.exceptions import (
+    DegenerateDataError,
+    IllConditionedDesignError,
+    NonFiniteCoefficientsError,
+    ZicountError,
+)
 from zicount.synth import gen_setting_one, setting_one_config
 
 
@@ -280,3 +285,11 @@ class TestAic:
         coef = RegressionCoefficients(beta=[0.0], gamma=[0.0], log_r=0.0)
         with pytest.raises(ValueError):
             RegressionFit(coef, loglik=-100.0, n_params=3, aic=205.0, flavor=Flavor.HNB, converged=True, n_obs=10)
+
+    @pytest.mark.parametrize(
+        "beta, gamma, log_r", [([np.nan], [0.0], 0.0), ([0.0], [np.inf], 0.0), ([0.0], [], -np.inf)]
+    )
+    def test_non_finite_coefficients_are_a_typed_value_error(self, beta, gamma, log_r):
+        with pytest.raises(NonFiniteCoefficientsError) as info:
+            RegressionCoefficients(beta=beta, gamma=gamma, log_r=log_r)
+        assert isinstance(info.value, ValueError) and isinstance(info.value, ZicountError)
