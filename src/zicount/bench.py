@@ -10,7 +10,7 @@ import csv
 import hashlib
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Optional
@@ -369,14 +369,29 @@ def _amc_rows_from_report(report: EvalReport, cell_key: dict, replication: int):
     return dist_rows, amc_rows, marg_rows, extra_rows, resid_rows
 
 
-def _run_setting_one_cell(args):
-    config, zero_target, flavor_name, replication = args
-    flavor = Flavor.ZINB if flavor_name.lower() == "zinb" else Flavor.HNB
-    n = config.n or 500
-    base = setting_one_config(flavor, gamma0=0.0, n=n)
+def _setting_one_flavor(flavor_name: str) -> Flavor:
+    return Flavor.ZINB if flavor_name.lower() == "zinb" else Flavor.HNB
+
+
+def _calibrate_setting_one(config: ExperimentConfig, zero_target: float, flavor_name: str):
+    """(gamma0, mode) of one setting-one grid point, or the exception that
+    calibrating it raised. It depends on the config seed, n, flavor and
+    zero target only, so every replication of the point shares it."""
+    base = setting_one_config(_setting_one_flavor(flavor_name), gamma0=0.0, n=config.n or 500)
     cal_seed = int(np.random.SeedSequence([config.seed, 11]).generate_state(1)[0])
-    gamma0, mode = resolve_setting_one_gamma0(base, zero_target, cal_seed)
-    cfg = replace(base, gamma0=gamma0)
+    try:
+        return resolve_setting_one_gamma0(base, zero_target, cal_seed)
+    except Exception as exc:  # noqa: BLE001 - the point's cells record it
+        return exc
+
+
+def _run_setting_one_cell(args):
+    config, zero_target, flavor_name, replication, calibration = args
+    if isinstance(calibration, Exception):
+        raise calibration
+    gamma0, mode = calibration
+    flavor = _setting_one_flavor(flavor_name)
+    cfg = setting_one_config(flavor, gamma0=gamma0, n=config.n or 500)
     data_seed = int(
         np.random.SeedSequence(
             [config.seed, 12, replication, int(round(zero_target * 1000)), int(flavor is Flavor.ZINB)]
@@ -500,8 +515,9 @@ def _cells(config: ExperimentConfig, source: Optional[Dataset]):
     if config.experiment is Experiment.SETTING_ONE:
         for zt in config.grids["zero_target"]:
             for fl in config.grids["flavor"]:
+                calibration = _calibrate_setting_one(config, float(zt), str(fl))
                 for rep in range(config.replications):
-                    cells.append((_run_setting_one_cell, (config, float(zt), str(fl), rep)))
+                    cells.append((_run_setting_one_cell, (config, float(zt), str(fl), rep, calibration)))
     elif config.experiment is Experiment.SETTING_ONE_DEFLATION:
         for ph in config.grids["pi_h"]:
             for rep in range(config.replications):
@@ -608,7 +624,8 @@ def run_experiment(config: ExperimentConfig) -> Path:
     failures = []
     for (worker, args), (payload, error) in zip(cells, results):
         if error is not None:
-            failures.append({"worker": worker.__name__, "args": [str(a) for a in args[1:] if not isinstance(a, np.ndarray)], "error": error})
+            key = [str(a) for a in args[1:] if isinstance(a, (str, int, float))]
+            failures.append({"worker": worker.__name__, "args": key, "error": error})
             continue
         for name, rows in payload.items():
             tables.setdefault(name, []).extend(rows)

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import digamma, gammaln
 from scipy.stats import nbinom
 
 from .exceptions import DegenerateTruncationError, InvalidParameterError
@@ -79,20 +79,31 @@ def _check_counts(y) -> np.ndarray:
     return y
 
 
-def _nb_log_pmf_raw(y, mu, r):
-    """log NB(y; mu, r), vectorized over y and mu."""
+def _log_nb_zero(mu, r):
+    """log NB(0; mu, r) = -r*log(1 + mu/r), via log1p so the mu -> 0 limit is exact."""
+    return -r * np.log1p(np.asarray(mu, dtype=float) / r)
+
+
+def _nb_logpmf(y, mu, r, score=False):
+    """log NB(y; mu, r), vectorized over y, mu and r.
+
+    With ``score=True`` also returns the derivatives in eta = log mu and in
+    log r, as ``(logpmf, d_eta, d_log_r)``; every fitting objective and
+    likelihood is built from this one kernel.
+    """
     y = np.asarray(y, dtype=float)
-    # r*ln(r/(mu+r)) written via log1p so the mu -> 0 limit is exact
-    log_p0 = -r * np.log1p(mu / r)
+    log_p0 = _log_nb_zero(mu, r)
     with np.errstate(divide="ignore", invalid="ignore"):
         count_term = y * (np.log(mu) - np.log(mu + r))
+    # y = 0 contributes nothing, even where mu underflowed to 0
     count_term = np.where(y == 0, 0.0, count_term)
-    return gammaln(y + r) - gammaln(r) - gammaln(y + 1) + count_term + log_p0
-
-
-def _log_nb_zero(mu, r):
-    """log NB(0; mu, r) = -r*log(1 + mu/r)."""
-    return -r * np.log1p(np.asarray(mu, dtype=float) / r)
+    logpmf = gammaln(y + r) - gammaln(r) - gammaln(y + 1) + count_term + log_p0
+    if not score:
+        return logpmf
+    d_eta = r * (y - mu) / (mu + r)
+    # r*[psi(y+r) - psi(r) - (y - mu)/(mu + r) - log1p(mu/r)]
+    d_log_r = r * (digamma(y + r) - digamma(r)) - d_eta + log_p0
+    return logpmf, d_eta, d_log_r
 
 
 def nb_log_pmf(y, params: CountParams):
@@ -103,7 +114,7 @@ def nb_log_pmf(y, params: CountParams):
     if params.flavor is not Flavor.NB:
         raise InvalidParameterError("nb_log_pmf requires flavor NB")
     y = _check_counts(y)
-    out = _nb_log_pmf_raw(y, params.mu, params.r)
+    out = _nb_logpmf(y, params.mu, params.r)
     return float(out) if np.isscalar(y) or y.ndim == 0 else out
 
 
@@ -121,7 +132,7 @@ def zinb_pmf(y, params: CountParams):
         raise InvalidParameterError("zinb_pmf requires flavor ZINB")
     y = _check_counts(y)
     pi = params.pi
-    base = np.exp(_nb_log_pmf_raw(y, params.mu, params.r))
+    base = np.exp(_nb_logpmf(y, params.mu, params.r))
     out = np.where(np.asarray(y) == 0, pi + (1.0 - pi) * base, (1.0 - pi) * base)
     return float(out) if np.isscalar(y) or np.asarray(y).ndim == 0 else out
 
@@ -144,7 +155,7 @@ def hnb_pmf(y, params: CountParams):
             raise DegenerateTruncationError(
                 f"1 - NB(0) underflowed for mu={params.mu}, r={params.r}"
             )
-        positive = (1.0 - pi) * np.exp(_nb_log_pmf_raw(arr, params.mu, params.r)) / denom
+        positive = (1.0 - pi) * np.exp(_nb_logpmf(arr, params.mu, params.r)) / denom
     else:
         positive = np.zeros_like(arr, dtype=float)
     out = np.where(arr == 0, pi, positive)

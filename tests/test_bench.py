@@ -6,6 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from zicount import bench
 from zicount.bench import (
     Dataset,
     Experiment,
@@ -19,7 +20,9 @@ from zicount.bench import (
     run_experiment,
     select_by_zero_proportion,
 )
-from zicount.exceptions import ParseError, SelectionError
+from zicount.counts import Flavor
+from zicount.exceptions import InfeasibleTargetError, ParseError, SelectionError
+from zicount.synth import resolve_setting_one_gamma0, setting_one_config
 
 mpmath.mp.dps = 50
 
@@ -197,6 +200,53 @@ class TestRunExperiment:
         manifest = tables["manifest"]
         assert manifest["config_hash"] == config.fingerprint()
         assert manifest["failures"] == []
+
+    def test_setting_one_calibrates_each_grid_point_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(config, zero_target, seed):
+            calls.append((config.flavor, zero_target, seed))
+            return resolve_setting_one_gamma0(config, zero_target, seed)
+
+        monkeypatch.setattr(bench, "resolve_setting_one_gamma0", counting)
+        config = ExperimentConfig(
+            experiment=Experiment.SETTING_ONE,
+            grids={"zero_target": [0.2, 0.4, 0.6], "flavor": ["zinb", "hnb"]},
+            replications=2,
+            seed=3,
+            out=str(tmp_path / "s1"),
+            n=120,
+        )
+        rows = read_results(run_experiment(config))["aic"]
+        assert len(calls) == 6 and len(set(calls)) == 6
+        cal_seed = int(np.random.SeedSequence([config.seed, 11]).generate_state(1)[0])
+        for row in rows:
+            flavor = Flavor(row["true_flavor"])
+            base = setting_one_config(flavor, gamma0=0.0, n=config.n)
+            gamma0, mode = resolve_setting_one_gamma0(base, float(row["zero_target"]), cal_seed)
+            assert (row["gamma0"], row["calibration"]) == (str(gamma0), mode)
+
+    def test_setting_one_calibration_failure_is_recorded_per_cell(self, tmp_path, monkeypatch):
+        def failing_at_04(config, zero_target, seed):
+            if zero_target == 0.4:
+                raise InfeasibleTargetError("no gamma0 reaches the target")
+            return resolve_setting_one_gamma0(config, zero_target, seed)
+
+        monkeypatch.setattr(bench, "resolve_setting_one_gamma0", failing_at_04)
+        config = ExperimentConfig(
+            experiment=Experiment.SETTING_ONE,
+            grids={"zero_target": [0.2, 0.4], "flavor": ["zinb", "hnb"]},
+            replications=2,
+            seed=3,
+            out=str(tmp_path / "s1"),
+            n=120,
+        )
+        tables = read_results(run_experiment(config))
+        failures = tables["manifest"]["failures"]
+        assert len(failures) == 2 * 2  # flavor x replication at the failing zero target
+        assert all(f["args"][0] == "0.4" and f["error"].startswith("InfeasibleTargetError") for f in failures)
+        assert {row["zero_target"] for row in tables["aic"]} == {"0.2"}
+        assert len(tables["aic"]) == 2 * 2 * 2  # flavor x replication x fitted model
 
     def test_rerun_is_noop_and_force_reruns(self, tmp_path):
         config = deflation_config(tmp_path)

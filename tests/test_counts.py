@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import nbinom
 
 from zicount import CountParams, Flavor, hnb_pmf, nb_log_pmf, nb_pmf, sample_count, zinb_pmf
+from zicount.counts import _nb_logpmf
 from zicount.exceptions import DegenerateTruncationError, InvalidParameterError
 
 mpmath.mp.dps = 50
@@ -44,6 +46,43 @@ class TestNbLogPmf:
         ours = np.exp(nb_log_pmf(ys, params))
         for y, v in zip(ys, ours):
             assert v == pytest.approx(nb_pmf_oracle(int(y), mu, r), rel=1e-10)
+
+    @given(
+        y=st.integers(0, 5000),
+        log_mu=st.floats(-8.0, 10.0),
+        log_r=st.floats(-8.0, 12.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_kernel_matches_scipy_nbinom(self, y, log_mu, log_r):
+        mu, r = math.exp(log_mu), math.exp(log_r)
+        expected = nbinom.logpmf(y, r, r / (r + mu))
+        # scipy gets p = r/(r + mu) rounded, so its y*log(1 - p) is off by
+        # up to ~1e-16 * y * r/mu
+        assert _nb_logpmf(y, mu, r) == pytest.approx(expected, rel=1e-9, abs=1e-9 + 1e-15 * y * r / mu)
+        assert _nb_logpmf(y, mu, r, score=True)[0] == _nb_logpmf(y, mu, r)
+
+    @given(
+        y=st.integers(0, 500),
+        log_mu=st.floats(-30.0, 30.0),
+        log_r=st.floats(-15.0, 15.0),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_kernel_score_against_extended_precision(self, y, log_mu, log_r):
+        def log_pmf(eta, lr):
+            mu, r = mpmath.exp(eta), mpmath.exp(lr)
+            return (
+                mpmath.loggamma(y + r) - mpmath.loggamma(r) - mpmath.loggamma(y + 1)
+                + y * (eta - mpmath.log(mu + r)) - r * mpmath.log1p(mu / r)
+            )
+
+        eta, lr = mpmath.mpf(log_mu), mpmath.mpf(log_r)
+        d_eta = float(mpmath.diff(lambda e: log_pmf(e, lr), eta))
+        d_log_r = float(mpmath.diff(lambda v: log_pmf(eta, v), lr))
+        _, ours_eta, ours_log_r = _nb_logpmf(y, math.exp(log_mu), math.exp(log_r), score=True)
+        r = math.exp(log_r)
+        assert ours_eta == pytest.approx(d_eta, rel=1e-10, abs=1e-12)
+        # r*(psi(y+r) - psi(r)) cancels to O(y^2/r): its rounding is ~1e-16 * r*log(r)
+        assert ours_log_r == pytest.approx(d_log_r, rel=1e-8, abs=1e-12 * (1.0 + r * abs(log_r)))
 
     def test_invalid_parameters(self):
         with pytest.raises(InvalidParameterError):

@@ -2,10 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
-from scipy.special import expit, logit
+from scipy.special import expit, gammaln, logit
 
 from zicount import (
     CountParams,
@@ -28,6 +28,15 @@ from zicount.exceptions import (
     IllConditionedDesignError,
     NonFiniteCoefficientsError,
     ZicountError,
+)
+from zicount.fitting import (
+    _ETA_CLIP,
+    _LOG_R_CLIP,
+    _logistic_negll,
+    _nb_negll,
+    _observed_information,
+    _zinb_negll,
+    _ztnb_negll,
 )
 from zicount.synth import gen_setting_one, setting_one_config
 
@@ -264,9 +273,71 @@ class TestFitInterceptOnly:
         )
         assert fit.loglik >= moment_ll - 1e-9
 
+    @pytest.mark.parametrize(
+        "flavor, y",
+        [
+            # positives with no spread push the truncated NB to its Poisson limit
+            (Flavor.HNB, np.array([0] * 5 + [3] * 20)),
+            # underdispersed counts push the NB to its Poisson limit
+            (Flavor.NB, np.array([3] * 20)),
+        ],
+    )
+    def test_stored_dispersion_is_the_clipped_one(self, flavor, y):
+        fit = fit_intercept_only(y, flavor)
+        assert fit.coefficients.log_r == _LOG_R_CLIP
+        mu, r = math.exp(fit.coefficients.beta[0]), fit.coefficients.r
+        if flavor is Flavor.NB:
+            at_coefficients = sum(nb_log_pmf(int(v), CountParams(mu, r, flavor=Flavor.NB)) for v in y)
+        else:
+            at_coefficients = hnb_loglik(y, np.ones((len(y), 1)), fit.coefficients)
+        assert fit.loglik == pytest.approx(at_coefficients, abs=1e-9)
+
     def test_needs_three_observations(self):
         with pytest.raises(DegenerateDataError):
             fit_intercept_only(np.array([0, 1]), Flavor.HNB)
+
+
+def _second_difference_information(y, X, Z, fit, step=1e-4):
+    """Minus the Hessian of the log-likelihood by second differences of the
+    log-likelihood itself (about 2m^2 calls): the reference for the
+    score-based information."""
+    q1, q2 = X.shape[1], Z.shape[1]
+    coef = fit.coefficients
+    theta = np.concatenate([coef.beta, coef.gamma, [coef.log_r]])
+
+    def loglik(t):
+        c = RegressionCoefficients(t[:q1], t[q1 : q1 + q2], t[-1])
+        return zinb_loglik(y, X, Z, c).total if fit.flavor is Flavor.ZINB else hnb_loglik(y, X, c)
+
+    m = len(theta)
+    hess = np.empty((m, m))
+    f0 = loglik(theta)
+    for i in range(m):
+        for j in range(i, m):
+            ei, ej = np.zeros(m), np.zeros(m)
+            ei[i], ej[j] = step, step
+            if i == j:
+                hess[i, i] = (loglik(theta + ei) - 2.0 * f0 + loglik(theta - ei)) / step**2
+            else:
+                hess[i, j] = hess[j, i] = (
+                    loglik(theta + ei + ej) - loglik(theta + ei - ej) - loglik(theta - ei + ej) + loglik(theta - ei - ej)
+                ) / (4.0 * step**2)
+    return -hess
+
+
+@pytest.mark.parametrize("flavor", [Flavor.ZINB, Flavor.HNB])
+def test_score_information_matches_second_differences(flavor):
+    cfg = setting_one_config(flavor, gamma0=-1.0, n=500)
+    y, x = gen_setting_one(cfg, seed=21)
+    X = np.column_stack([np.ones(len(y)), x])
+    fit = fit_regression(y, X, X if flavor is Flavor.ZINB else None, flavor)
+    assert fit.converged
+    info = _observed_information(y, X, X, fit, 1e-4)
+    reference = _second_difference_information(y, X, X, fit)
+    assert np.allclose(info, info.T)
+    np.testing.assert_allclose(info, reference, rtol=1e-3, atol=1e-3 * np.abs(reference).max())
+    se_reference = np.sqrt(np.diag(np.linalg.inv(reference)))
+    np.testing.assert_allclose(standard_errors(y, X, X, fit), se_reference, rtol=1e-3)
 
 
 class TestAic:
@@ -293,3 +364,85 @@ class TestAic:
         with pytest.raises(NonFiniteCoefficientsError) as info:
             RegressionCoefficients(beta=beta, gamma=gamma, log_r=log_r)
         assert isinstance(info.value, ValueError) and isinstance(info.value, ZicountError)
+
+
+# ---------------------------------------------------------------------------
+# analytic scores of the optimizer objectives
+
+
+def _central_difference(fun, theta, args, step):
+    grad = np.empty(len(theta))
+    for i in range(len(theta)):
+        e = np.zeros(len(theta))
+        e[i] = step
+        grad[i] = (fun(theta + e, *args)[0] - fun(theta - e, *args)[0]) / (2.0 * step)
+    return grad
+
+
+def _nb_term_size(y, eta, log_r):
+    """Sum of |terms| of the clipped NB log pmfs. The objectives round at
+    about 1e-16 of it, and a difference quotient divides that by its step."""
+    eta = np.clip(eta, -_ETA_CLIP, _ETA_CLIP)
+    r = math.exp(np.clip(log_r, -_LOG_R_CLIP, _LOG_R_CLIP))
+    mu = np.exp(eta)
+    terms = (
+        np.abs(gammaln(y + r)) + abs(gammaln(r)) + gammaln(y + 1.0)
+        + y * (np.abs(eta) + np.abs(np.log(mu + r))) + r * np.log1p(mu / r)
+    )
+    return float(terms.sum())
+
+
+# a linear predictor or log r well inside its clip, or within 1 of it on
+# either side
+_near_or_inside = lambda clip: st.one_of(  # noqa: E731
+    st.floats(-3.0, 3.0), st.floats(clip - 1.0, clip + 1.0), st.floats(-clip - 1.0, -clip + 1.0)
+)
+
+
+@given(
+    objective=st.sampled_from(["logistic", "zinb", "ztnb", "nb"]),
+    column=st.sampled_from(["mixed", "all_zero", "no_zero"]),
+    n=st.integers(3, 25),
+    seed=st.integers(0, 2**31),
+    eta_mu=_near_or_inside(_ETA_CLIP),
+    eta_pi=_near_or_inside(_ETA_CLIP),
+    log_r=_near_or_inside(_LOG_R_CLIP),
+    slope=st.floats(-0.5, 0.5),
+)
+@settings(max_examples=300, deadline=None)
+def test_objective_gradient_matches_central_difference(objective, column, n, seed, eta_mu, eta_pi, log_r, slope):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=n)
+    X = np.column_stack([np.ones(n), x])
+    y = rng.negative_binomial(1.0, 0.2, size=n).astype(float)
+    if column == "all_zero":
+        y[:] = 0.0
+    elif column == "no_zero":
+        y += 1.0
+    beta = np.array([eta_mu, slope])
+    gamma = np.array([eta_pi, -slope])
+    step = 1e-6
+    # a central difference across a clip's kink is no derivative
+    assume(np.all(np.abs(np.abs(X @ beta) - _ETA_CLIP) > 10 * step))
+    assume(np.all(np.abs(np.abs(X @ gamma) - _ETA_CLIP) > 10 * step))
+    assume(abs(abs(eta_mu) - _ETA_CLIP) > 10 * step and abs(abs(log_r) - _LOG_R_CLIP) > 10 * step)
+    if objective == "logistic":
+        fun, theta, args = _logistic_negll, gamma, ((y == 0).astype(float), X)
+        size = float(np.abs(np.clip(X @ gamma, -_ETA_CLIP, _ETA_CLIP)).sum())
+    elif objective == "zinb":
+        fun, theta, args = _zinb_negll, np.concatenate([beta, gamma, [log_r]]), (y, X, X)
+        size = _nb_term_size(y, X @ beta, log_r) + float(np.abs(X @ gamma).sum())
+    elif objective == "ztnb":
+        assume(column != "all_zero")
+        pos = y > 0
+        fun, theta, args = _ztnb_negll, np.append(beta, log_r), (y[pos], X[pos])
+        size = 2.0 * _nb_term_size(y[pos], X[pos] @ beta, log_r)
+    else:
+        fun, theta, args = _nb_negll, np.array([eta_mu, log_r]), (y,)
+        size = _nb_term_size(y, np.full(n, eta_mu), log_r)
+    value, grad = fun(theta, *args)
+    assert np.isfinite(value) and grad.shape == theta.shape
+    if objective != "logistic" and abs(log_r) > _LOG_R_CLIP:
+        assert grad[-1] == 0.0
+    fd = _central_difference(fun, theta, args, step)
+    np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-6 + 1e-13 * size / step)
