@@ -21,6 +21,7 @@ from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
 from scipy.stats import qmc
 
+from . import bridge_table
 from .exceptions import (
     ClampedCorrelationWarning,
     ConstantColumnError,
@@ -231,9 +232,10 @@ class _TTBlock(NamedTuple):
     """The sigma-free part of the bridge's Genz recursion for a block of pairs.
 
     Both 4-d CDFs of the bridge have limits (-dj, -dk, 0, 0) and the same
-    first Cholesky row, and rows 0 and 1 of Sigma4a carry no sigma, so
-    these values serve every evaluation of the block. Arrays are (b, 1)
-    or (b, n_points).
+    first Cholesky row, rows 0 and 1 of Sigma4a carry no sigma, and row 2
+    of Sigma4b depends on row 0 alone (see :func:`_tt_bridge`), so these
+    values serve every evaluation of the block. Arrays are (b, 1) or
+    (b, n_points).
     """
 
     ndk: np.ndarray  # -dk, the limit of row 1
@@ -241,6 +243,8 @@ class _TTBlock(NamedTuple):
     y0: np.ndarray  # Phi^-1(w0 Phi(-dj)), shared by Sigma4a and Sigma4b
     e1a: np.ndarray  # Phi(-dk), row 1 of Sigma4a
     y1a: np.ndarray  # Phi^-1(w1 Phi(-dk))
+    e2b: np.ndarray  # Phi(-y0), row 2 of Sigma4b
+    y02b: np.ndarray  # y0 + Phi^-1(w2 Phi(-y0))
 
     def take(self, keep) -> "_TTBlock":
         return _TTBlock(*(x[keep] for x in self))
@@ -259,39 +263,34 @@ def _tt_block(dj, dk, w) -> _TTBlock:
     ndk = -np.asarray(dk, dtype=float)[:, None]
     e0 = ndtr(-np.asarray(dj, dtype=float)[:, None])
     e1a = ndtr(ndk)
-    return _TTBlock(ndk, e0, _genz_quantile(w[:, 0], e0), e1a, _genz_quantile(w[:, 1], e1a))
-
-
-def _genz_rows(chol, ndk, ys, prod, w) -> np.ndarray:
-    """Rows ``len(ys)``..3 of the Genz recursion of the bridge's 4-d CDF
-    (limits -dj, ``ndk`` = -dk, 0, 0) for a (b, 4, 4) Cholesky stack, given
-    the draws ``ys`` and the factor product ``prod`` of the rows before;
-    returns the mean integrand of each batch member."""
-    ys = list(ys)
-    for i in range(len(ys), 4):
-        scale = 1.0 / chol[:, i, i, None]
-        num = ys[0] * (-chol[:, i, 0, None] * scale)
-        for k in range(1, i):
-            num -= ys[k] * (chol[:, i, k, None] * scale)
-        if i == 1:
-            num += ndk * scale
-        e = ndtr(num, out=num)
-        prod = prod * e
-        if i < 3:
-            ys.append(_genz_quantile(w[:, i], e))
-    return prod.mean(axis=1)
+    y0 = _genz_quantile(w[:, 0], e0)
+    e2b = ndtr(-y0)
+    return _TTBlock(ndk, e0, y0, e1a, _genz_quantile(w[:, 1], e1a), e2b, y0 + _genz_quantile(w[:, 2], e2b))
 
 
 def _tt_bridge(block: _TTBlock, sig, w) -> np.ndarray:
     """Bridge value of every pair of ``block`` at its latent correlation
     in ``sig``: one kernel evaluation per pair.
 
-    At sig = 0 the two CDFs take identical steps, so the value is exactly 0.
+    With c = 1/sqrt(2) and q = sqrt(1 - s^2), the Cholesky factors of
+    Sigma4a(s) and Sigma4b(s) (:func:`_sigma4_pair`) are, in closed form,
+
+        La = [[1, 0, 0, 0], [0, 1, 0, 0], [c, -sc, qc, 0], [-sc, c, 0, qc]]
+        Lb = [[1, 0, 0, 0], [s, q, 0, 0], [c, 0, c, 0], [sc, qc, sc, qc]]
+
+    and each Genz argument (limit - sum_k L_ik y_k) / L_ii reduces to the
+    expressions below: row 3 of La needs no y2, and row 2 of Lb, Phi(-y0),
+    is sigma-free. At s = 0 both CDFs take bit-identical steps, so the
+    value is exactly 0.
     """
-    chol_a, chol_b = np.linalg.cholesky(np.stack(_sigma4_pair(sig)))
-    pa = _genz_rows(chol_a, block.ndk, (block.y0, block.y1a), block.e0 * block.e1a, w)
-    pb = _genz_rows(chol_b, block.ndk, (block.y0,), block.e0, w)
-    return -2.0 * pa + 2.0 * pb
+    s = np.asarray(sig, dtype=float)[:, None]
+    q = np.sqrt((1.0 - s) * (1.0 + s))
+    y0, y1a = block.y0, block.y1a
+    pa = block.e0 * block.e1a * ndtr((s * y1a - y0) / q) * ndtr((s * y0 - y1a) / q)
+    e1b = ndtr((block.ndk - s * y0) / q)
+    y1b = _genz_quantile(w[:, 1], e1b)
+    pb = block.e0 * e1b * block.e2b * ndtr(-y1b - s * block.y02b / q)
+    return -2.0 * pa.mean(axis=1) + 2.0 * pb.mean(axis=1)
 
 
 def _bridge_batch(sig, dj, dk, n_points: int) -> np.ndarray:
@@ -339,16 +338,18 @@ def _invert_bridge_batch(tau, dj, dk, n_points: int = 4096) -> np.ndarray:
     """Batched :func:`invert_bridge` on one shared QMC stream, used for
     whole-matrix fits.
 
-    On a fixed stream the bridge is exactly 0 at 0, so each pair's root is
-    bracketed by 0 and the endpoint +-0.9999 on tau's side, and only that
-    endpoint is evaluated; tau at or beyond its bridge value is clamped to
-    it, with one warning for the batch. The other pairs run Illinois
-    regula falsi, with a bisection step whenever a bracket has not halved
-    in two evaluations, until every bracket is at most ``_ROOT_TOL`` wide,
-    and return its midpoint. Pairs go in blocks of ``_PAIR_CHUNK``: each
-    block computes its sigma-free Genz values once and runs its whole
-    search before the next, and converged pairs drop out. A pair costs
-    6 to 8 kernel evaluations on typical data.
+    Each pair starts from the packaged bridge table
+    (:func:`_seeded_brackets`). A pair whose tau lies within one table
+    interval of the edge value, or whose two seeded points do not bracket
+    the root, is bracketed by 0 and the endpoint +-0.9999 on tau's side
+    (:func:`_anchored_brackets`); tau at or beyond the endpoint's bridge
+    value is clamped to it, with one warning for the batch. Every bracket
+    is closed to at most ``_ROOT_TOL`` on the fit's own stream by
+    :func:`_falsi_roots`, so the table shortens the search but never
+    decides a root. Pairs go in blocks of ``_PAIR_CHUNK``: each block
+    computes its sigma-free Genz values once and runs its whole search
+    before the next. A pair costs about 3 kernel evaluations on typical
+    data (6 without the table).
     """
     tau, dj, dk = (np.asarray(x, dtype=float) for x in (tau, dj, dk))
     if not (np.all(np.isfinite(tau)) and np.all(np.isfinite(dj)) and np.all(np.isfinite(dk))):
@@ -361,13 +362,13 @@ def _invert_bridge_batch(tau, dj, dk, n_points: int = 4096) -> np.ndarray:
         idx = pairs[start : start + _PAIR_CHUNK]
         block = _tt_block(dj[idx], dk[idx], w)
         t = tau[idx]
-        edge = np.copysign(_SIGMA_BRACKET, t)
-        f_edge = _tt_bridge(block, edge, w) - t
-        clamp = np.where(t > 0.0, f_edge <= 0.0, f_edge >= 0.0)
-        out[idx[clamp]] = edge[clamp]
+        seeded = _seeded_brackets(block, t, dj[idx], dk[idx], w)
+        rest = np.setdiff1d(np.arange(idx.size), seeded[0])
+        clamp, anchored = _anchored_brackets(block.take(rest), t[rest], w)
+        out[idx[rest[clamp]]] = np.copysign(_SIGMA_BRACKET, t[rest[clamp]])
         n_clamped += int(np.count_nonzero(clamp))
-        keep = ~clamp
-        out[idx[keep]] = _falsi_roots(block.take(keep), t[keep], edge[keep], f_edge[keep], w)
+        rows, lo, hi, f_lo, f_hi, last = (np.concatenate(v) for v in zip(seeded, (rest[~clamp],) + anchored))
+        out[idx[rows]] = _falsi_roots(block.take(rows), t[rows], lo, hi, f_lo, f_hi, last, w)
     if n_clamped:
         warnings.warn(
             f"{n_clamped} pair(s) outside the invertible range; clamped to +-{_SIGMA_BRACKET}",
@@ -377,21 +378,52 @@ def _invert_bridge_batch(tau, dj, dk, n_points: int = 4096) -> np.ndarray:
     return out
 
 
-def _falsi_roots(block: _TTBlock, tau, edge, f_edge, w) -> np.ndarray:
-    """Roots of bridge - tau between 0 and ``edge`` for every pair of a
-    block, where ``f_edge`` (bridge - tau at ``edge``) has the sign of tau.
+def _seeded_brackets(block: _TTBlock, tau, dj, dk, w):
+    """Brackets from the table: the kernel at the starting sigma x0 and
+    after one Newton step with the table's slope, aimed half of
+    ``_ROOT_TOL`` past the root, so that a good start closes its bracket
+    with one more evaluation. Returns the block rows whose two points
+    bracket the root, and their ``lo, hi, f_lo, f_hi, last`` as
+    :func:`_falsi_roots` takes them (x1 moved last)."""
+    x0, slope, seeded = bridge_table.seed_roots(tau, dj, dk)
+    rows = np.flatnonzero(seeded)
+    x0, slope, tau, block = x0[rows], slope[rows], tau[rows], block.take(rows)
+    f0 = _tt_bridge(block, x0, w) - tau
+    step = -f0 / slope
+    x1 = np.clip(x0 + step + np.copysign(0.5 * _ROOT_TOL, step), -_SIGMA_BRACKET, _SIGMA_BRACKET)
+    f1 = _tt_bridge(block, x1, w) - tau
+    up = f0 < 0.0  # x1 is the upper end
+    lo, hi, f_lo, f_hi = np.where(up, x0, x1), np.where(up, x1, x0), np.where(up, f0, f1), np.where(up, f1, f0)
+    ok = (f_lo < 0.0) & (f_hi >= 0.0) & (lo < hi)
+    return rows[ok], lo[ok], hi[ok], f_lo[ok], f_hi[ok], np.where(up, 1.0, -1.0)[ok]
 
-    The brackets keep f(lo) < 0 <= f(hi).
-    """
+
+def _anchored_brackets(block: _TTBlock, tau, w):
+    """Brackets between 0, where the bridge on a fixed stream is exactly 0,
+    and the endpoint +-0.9999 on tau's side, the only point evaluated.
+    Returns the mask of pairs to clamp (tau at or beyond the endpoint's
+    value) and, for the others, ``lo, hi, f_lo, f_hi, last`` as
+    :func:`_falsi_roots` takes them."""
     pos = tau > 0.0
-    lo, hi = np.where(pos, 0.0, edge), np.where(pos, edge, 0.0)
-    f_lo, f_hi = np.where(pos, -tau, f_edge), np.where(pos, f_edge, -tau)
-    rows = np.arange(tau.shape[0])
-    # -1 if a false-position step moved lo last, +1 if one moved hi. The
-    # bridge is mostly convex on tau's side, so the first step tends to land
-    # on the anchor's side: counting the anchor as the last end moved lets
-    # that step already halve f at the edge.
+    edge = np.copysign(_SIGMA_BRACKET, tau)
+    f_edge = _tt_bridge(block, edge, w) - tau
+    clamp = np.where(pos, f_edge <= 0.0, f_edge >= 0.0)
+    pos, edge, f_edge, tau = pos[~clamp], edge[~clamp], f_edge[~clamp], tau[~clamp]
+    # The bridge is mostly convex on tau's side, so the first step tends to
+    # land on the anchor's side: counting the anchor as the end moved last
+    # lets that step already halve f at the edge.
     last = np.where(pos, -1.0, 1.0)
+    return clamp, (np.where(pos, 0.0, edge), np.where(pos, edge, 0.0), np.where(pos, -tau, f_edge), np.where(pos, f_edge, -tau), last)
+
+
+def _falsi_roots(block: _TTBlock, tau, lo, hi, f_lo, f_hi, last, w) -> np.ndarray:
+    """Roots of bridge - tau for every pair of a block, from brackets
+    [lo, hi] with f(lo) < 0 <= f(hi), by Illinois regula falsi with a
+    bisection step whenever a bracket has not halved in two evaluations,
+    until every bracket is at most ``_ROOT_TOL`` wide; returns the
+    midpoints. ``last`` is -1 where lo moved last and +1 where hi did.
+    """
+    rows = np.arange(tau.shape[0])
     # bracket width now, one and two evaluations ago
     width, width_prev, width_back = hi - lo, np.full(tau.shape[0], np.inf), np.full(tau.shape[0], np.inf)
     out = np.empty(tau.shape[0])
@@ -448,8 +480,11 @@ def fit_tlnpn(data, *, qmc_points: int = 4096) -> LatentCopulaModel:
     the nearest positive-definite correlation, and storage of the
     empirical marginals. The p(p-1)/2 inversions share one scrambled Sobol
     stream of ``qmc_points`` points and are solved to a bracket of 1e-6 by
-    :func:`_invert_bridge_batch`; pairs whose tau lies beyond the bridge
-    range are clamped to +-0.9999 with one ``ClampedCorrelationWarning``.
+    :func:`_invert_bridge_batch`, which starts each root from the
+    packaged bridge table and takes about 3 kernel evaluations per pair;
+    pairs whose tau lies beyond the bridge range are clamped to +-0.9999
+    with one ``ClampedCorrelationWarning``. ``qmc_points`` sets the stream
+    that defines every root; the table only shortens the search.
     """
     Y = np.asarray(data, dtype=float)
     if Y.ndim != 2:

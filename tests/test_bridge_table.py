@@ -1,0 +1,66 @@
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+import zicount.copula as copula
+from zicount import bridge_table
+from zicount.bridge_table import DELTA_NODES, SIGMA_NODES, TABLE_SHAPE, load_table, tabulate
+
+TABLE_SHA256 = "456490b04b4d790b30b91b5654c969b3a96d65a640513785010631b5bd7cc3ce"
+
+
+def test_shape_and_grid():
+    table = load_table()
+    assert table.shape == TABLE_SHAPE == (33, 33, 33)
+    assert table.dtype == np.float64 and not table.flags.writeable
+    assert DELTA_NODES[0] == -4.0 and DELTA_NODES[-1] == 4.0 and np.allclose(np.diff(DELTA_NODES), 0.25)
+    assert SIGMA_NODES[0] == -copula._SIGMA_BRACKET and SIGMA_NODES[-1] == copula._SIGMA_BRACKET
+    assert np.all(np.diff(SIGMA_NODES) > 0.0) and SIGMA_NODES[16] == 0.0
+    assert np.all(table[:, :, 16] == 0.0)  # the bridge is exactly 0 at sigma = 0
+
+
+def test_symmetric_in_deltas():
+    table = load_table()
+    assert np.array_equal(table, table.transpose(1, 0, 2))
+
+
+def test_increasing_in_sigma():
+    """Every line is strictly increasing in sigma after an initial plateau.
+
+    The plateau is where the bridge's slope is below float resolution:
+    sigma near -1 with both variables mostly zero, e.g. -2.006e-9 at
+    every sigma <= -0.77 when both truncation levels are 4.
+    """
+    steps = np.diff(load_table(), axis=2)
+    assert np.all(steps >= 0.0)
+    plateau = np.cumprod(steps == 0.0, axis=2).astype(bool)
+    assert np.all((steps > 0.0) | plateau)
+    assert not plateau[:, :, 15:].any()  # the plateau ends before sigma = 0
+
+
+def test_reproduces_from_the_generator():
+    """A stale or hand-edited table fails: eight seeded sigma lines (264
+    nodes) recomputed by the generator's function at its point count
+    match the stored values."""
+    rng = np.random.default_rng(20240612)
+    j, k = rng.integers(0, DELTA_NODES.size, (2, 8))
+    s = np.arange(SIGMA_NODES.size)
+    j, k, s = np.repeat(j, s.size), np.repeat(k, s.size), np.tile(s, 8)
+    assert np.max(np.abs(tabulate(s, j, k) - load_table()[j, k, s])) <= 1e-12
+
+
+def test_file_is_unedited():
+    """The file's digest as ``scripts/make_bridge_table.py`` printed it;
+    with the test above, an edited node or a stale table fails."""
+    data = (Path(bridge_table.__file__).parent / bridge_table.TABLE_FILE).read_bytes()
+    assert hashlib.sha256(data).hexdigest() == TABLE_SHA256
+
+
+def test_loaded_on_first_use_not_at_import():
+    code = "import zicount, zicount.bridge_table as b; assert b.load_table.cache_info().currsize == 0"
+    src = Path(bridge_table.__file__).resolve().parents[1]
+    subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)

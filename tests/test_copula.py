@@ -1,8 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import ndtri
+from scipy.special import ndtr, ndtri
 from scipy.stats import spearmanr
 
 from zicount import (
@@ -16,7 +18,8 @@ from zicount import (
     zero_truncation_levels,
 )
 import zicount.copula as copula
-from zicount.copula import _bridge_batch, _invert_bridge_batch, _sigma4_pair
+from zicount import bridge_table
+from zicount.copula import _bridge_batch, _invert_bridge_batch, _sigma4_pair, _sobol_points
 from zicount.exceptions import (
     ClampedCorrelationWarning,
     ConstantColumnError,
@@ -203,6 +206,29 @@ class TestBridge:
         dj = np.linspace(-1.5, 1.5, 7)
         assert np.all(_bridge_batch(np.zeros(7), dj, dj[::-1], n_points=1024) == 0.0)
 
+    def test_closed_form_cholesky_factors(self):
+        # the factors written out in the _tt_bridge docstring
+        s = np.linspace(-0.9999, 0.9999, 2001)
+        c, q = np.sqrt(0.5), np.sqrt((1.0 - s) * (1.0 + s))
+        one, zero = np.ones_like(s), np.zeros_like(s)
+
+        def stack(rows):
+            return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
+
+        la = stack([[one, zero, zero, zero], [zero, one, zero, zero], [c * one, -s * c, q * c, zero], [-s * c, c * one, zero, q * c]])
+        lb = stack([[one, zero, zero, zero], [s, q, zero, zero], [c * one, zero, c * one, zero], [s * c, q * c, s * c, q * c]])
+        for closed, sigma4 in zip((la, lb), _sigma4_pair(s)):
+            assert np.max(np.abs(closed @ np.swapaxes(closed, -1, -2) - sigma4)) <= 1e-15
+            # LAPACK's own factor of Sigma4a(-0.9999) has 1.1e-14 where the exact one has 0
+            assert np.max(np.abs(closed - np.linalg.cholesky(sigma4))) <= 2e-14
+
+    def test_kernel_matches_generic_genz_recursion(self):
+        rng = np.random.default_rng(3)
+        sig = np.concatenate([rng.uniform(-0.9999, 0.9999, 40), [-0.9999, 0.0, 0.9999]])
+        dj, dk = rng.uniform(-4.5, 4.5, (2, sig.size))
+        want = genz_bridge_reference(sig, dj, dk, 1024)
+        assert np.max(np.abs(_bridge_batch(sig, dj, dk, n_points=1024) - want)) <= 1e-14
+
     def test_sigma4_matrices_are_pd(self):
         for s in np.linspace(-0.999, 0.999, 41):
             s4a, s4b = _sigma4_pair(s)
@@ -280,6 +306,26 @@ class TestInvertBridge:
             assert inv == pytest.approx(sig[i], abs=2e-3)
 
 
+def genz_bridge_reference(sig, dj, dk, n_points):
+    """The bridge by the generic Genz recursion on LAPACK Cholesky factors
+    of Sigma4a and Sigma4b, one pair at a time, on the batch's QMC stream."""
+    w = _sobol_points(n_points)
+    out = np.empty(len(sig))
+    for i in range(len(sig)):
+        limits = np.array([-dj[i], -dk[i], 0.0, 0.0])
+        means = []
+        for chol in np.linalg.cholesky(np.stack(_sigma4_pair(sig[i]))):
+            e = ndtr(limits[0])
+            prod, ys = np.full(n_points, e), []
+            for row in range(1, 4):
+                ys.append(ndtri(np.clip(w[:, row - 1] * e, 1e-300, 1.0 - 1e-16)))
+                e = ndtr((limits[row] - np.column_stack(ys) @ chol[row, :row]) / chol[row, row])
+                prod = prod * e
+            means.append(prod.mean())
+        out[i] = -2.0 * means[0] + 2.0 * means[1]
+    return out
+
+
 def reference_bisection(tau, dj, dk, n_points, halvings=40):
     """Root of the batched bridge by plain bisection on [-0.9999, 0.9999]."""
     lo = np.full(len(tau), -0.9999)
@@ -322,7 +368,23 @@ class TestInvertBridgeBatch:
 
         monkeypatch.setattr(copula, "_tt_bridge", counting)
         _invert_bridge_batch(tau, dj, dk, n_points=self.N_POINTS)
-        assert sum(evaluated) / len(tau) <= 8.0
+        assert sum(evaluated) / len(tau) <= 4.0
+
+    def test_pairs_near_the_edge_take_the_anchored_path(self, monkeypatch):
+        # tau within the table's last sigma interval (sigma > 0.9951) skips
+        # the seeded points: the endpoint on tau's side comes first
+        tau = _bridge_batch(np.array([0.998, -0.997]), np.zeros(2), np.array([0.5, -0.5]), self.N_POINTS)
+        seen = []
+        kernel = copula._tt_bridge
+
+        def recording(block, sig, w):
+            seen.append(np.array(sig))
+            return kernel(block, sig, w)
+
+        monkeypatch.setattr(copula, "_tt_bridge", recording)
+        out = _invert_bridge_batch(tau, np.zeros(2), np.array([0.5, -0.5]), n_points=self.N_POINTS)
+        assert [list(x) for x in seen if x.size][0] == [0.9999, -0.9999]
+        assert np.max(np.abs(out - [0.998, -0.997])) <= 1e-6
 
     def test_clamp_count_and_values(self):
         tau = np.array([0.999, -0.999, 0.05, 0.0, 0.2])
@@ -353,6 +415,61 @@ class TestInvertBridgeBatch:
         tau = _bridge_batch(sig, dj, dk, self.N_POINTS)
         back = _invert_bridge_batch(tau, dj, dk, n_points=self.N_POINTS)
         assert np.max(np.abs(back - sig)) <= 1e-6
+
+
+class TestSeededInversion:
+    """The table-seeded inversion against the bisection reference and the
+    clamp rule of the unseeded path, on the fit's own stream."""
+
+    N_POINTS = 1024
+    # Inside the grid, levels above 1.5 (more than 93% zeros) are left out:
+    # from about 1.7 the bridge at negative sigma is flat to float
+    # resolution, so no inverter fixes its root to 1e-6, and above about
+    # 2.5 the stream's bridge of a pair ordered (low, high) falls near
+    # |sigma| = 1 (CHANGES.md, FOUND), so its root is not unique. Below
+    # the grid, -6 to -4 is a column with (almost) no zeros.
+    DELTA = st.one_of(st.floats(-4.0, 1.5), st.floats(-6.0, -4.0, exclude_max=True))
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(-0.95, 0.95),
+                DELTA,
+                DELTA,
+                st.one_of(st.none(), st.floats(-1.0, 1.0)),  # a free tau, often beyond the clamp
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    def test_properties(self, cases):
+        sig, dj, dk = (np.array(v, dtype=float) for v in list(zip(*cases))[:3])
+        free = np.array([np.nan if c[3] is None else c[3] for c in cases])
+        tau = np.where(np.isnan(free), _bridge_batch(sig, dj, dk, self.N_POINTS), free)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ClampedCorrelationWarning)
+            got = _invert_bridge_batch(tau, dj, dk, n_points=self.N_POINTS)
+        want = reference_bisection(tau, dj, dk, self.N_POINTS)
+        assert np.max(np.abs(got - want)) <= 1e-6
+
+        # the unseeded path's clamp rule: tau at or beyond the endpoint's value
+        edge = np.copysign(0.9999, tau)
+        f_edge = _bridge_batch(edge, dj, dk, self.N_POINTS) - tau
+        clamp = (tau != 0.0) & np.where(tau > 0.0, f_edge <= 0.0, f_edge >= 0.0)
+        assert np.array_equal(np.abs(got) == 0.9999, clamp)
+
+        # the start, where the root is well conditioned: with a slope of at
+        # least 0.05, the ~1e-4 by which the table's tau and the stream's
+        # can differ moves sigma by at most 2e-3
+        sigma0, _, seeded = bridge_table.seed_roots(tau, dj, dk)
+        inside = (np.abs(dj) <= 4.0) & (np.abs(dk) <= 4.0)
+        h = 1e-3
+        up, down = np.minimum(want + h, 0.9999), np.maximum(want - h, -0.9999)
+        slope = (_bridge_batch(up, dj, dk, self.N_POINTS) - _bridge_batch(down, dj, dk, self.N_POINTS)) / (up - down)
+        check = inside & seeded & ~clamp & (slope >= 0.05)
+        assert np.all(np.abs(sigma0 - want)[check] <= 2e-3)
 
 
 class TestNearestCorrelation:
