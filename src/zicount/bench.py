@@ -8,14 +8,16 @@ config is a no-op unless forced.
 
 import csv
 import hashlib
+import itertools
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
+from scipy.special import logit
 
 from . import __version__
 from .counts import Flavor
@@ -201,15 +203,6 @@ class Experiment(Enum):
     REAL_DATA = "real-data"
 
 
-_GRID_KEYS = {
-    Experiment.SETTING_ONE: {"zero_target", "flavor"},
-    Experiment.SETTING_ONE_DEFLATION: {"pi_h"},
-    Experiment.SETTING_TWO: {"beta1", "gamma0", "gamma1", "rho", "corr"},
-    Experiment.SETTING_THREE: {"rho", "zero_target", "transform", "corr"},
-    Experiment.REAL_DATA: set(),
-}
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment: a grid, a replication budget, and run options."""
@@ -229,7 +222,6 @@ class ExperimentConfig:
     n: Optional[int] = None
     qmc_points: int = 4096
     collect_extras: bool = False
-    allow_partial: bool = False
     force: bool = False
 
     def __post_init__(self):
@@ -237,15 +229,18 @@ class ExperimentConfig:
             raise ValueError("replications must be >= 1")
         if self.order not in (1, 2):
             raise ValueError("order must be 1 or 2")
-        allowed = _GRID_KEYS[self.experiment]
-        extra = set(self.grids) - allowed
+        spec = _SPECS[self.experiment]
+        extra = set(self.grids) - {key for key, _, _ in spec.grid}
         if extra:
             raise ValueError(f"grid keys {sorted(extra)} not valid for {self.experiment.value}")
-        for key in allowed:
-            if key not in self.grids or not list(self.grids[key]):
+        for key, coerce, valid in spec.grid:
+            values = list(self.grids.get(key, ()))
+            if not values:
                 raise ValueError(f"{self.experiment.value} needs a nonempty grid for {key!r}")
-        _validate_grid_ranges(self.experiment, self.grids)
-        if self.experiment in (Experiment.SETTING_THREE, Experiment.REAL_DATA) and not self.dataset:
+            for v in values:
+                if not valid(coerce(v)):
+                    raise ValueError(f"grid value {v!r} out of range for {key!r}")
+        if spec.needs_source and not self.dataset:
             raise ValueError(f"{self.experiment.value} needs a dataset path (or 'standin')")
         object.__setattr__(self, "grids", {k: list(v) for k, v in self.grids.items()})
         object.__setattr__(self, "models", tuple(self.models))
@@ -270,24 +265,6 @@ class ExperimentConfig:
 
     def fingerprint(self) -> str:
         return hashlib.sha256(json.dumps(self.canonical(), sort_keys=True).encode()).hexdigest()
-
-
-def _validate_grid_ranges(experiment: Experiment, grids: dict):
-    checks = {
-        "zero_target": lambda v: 0.0 < float(v) < 1.0,
-        "pi_h": lambda v: 0.0 < float(v) < 1.0,
-        "rho": lambda v: -1.0 < float(v) < 1.0,
-        "beta1": lambda v: np.isfinite(float(v)),
-        "gamma0": lambda v: np.isfinite(float(v)),
-        "gamma1": lambda v: np.isfinite(float(v)),
-        "flavor": lambda v: str(v).lower() in ("zinb", "hnb"),
-        "transform": lambda v: str(v) in ("none", "sqrt"),
-        "corr": lambda v: str(v).upper() in ("AR", "GD"),
-    }
-    for key, values in grids.items():
-        for v in values:
-            if not checks[key](v):
-                raise ValueError(f"grid value {v!r} out of range for {key!r}")
 
 
 def config_from_json(path, **overrides) -> ExperimentConfig:
@@ -324,80 +301,71 @@ def _load_source(config: ExperimentConfig) -> Dataset:
     return data
 
 
-def _amc_rows_from_report(report: EvalReport, cell_key: dict, replication: int):
-    dist_rows = []
+def _report_tables(report: EvalReport, key: dict) -> dict:
+    """The five row tables of one evaluated cell, by table name.
+
+    ``key`` (the grid point and replication) leads every row; a table the
+    report has nothing for is an empty list.
+    """
+    tables = {"distances": [], "amc": [], "marginal": [], "corr_gap": [], "residuals": []}
     for rec in report.records:
-        dist_rows.append(
-            dict(
-                cell_key,
-                replication=replication,
-                split=rec.split,
-                fold=rec.fold,
-                model=rec.model,
-                distance="" if rec.failed else rec.distance,
-                failed=int(rec.failed),
-            )
-        )
-    amc_rows = [
-        dict(cell_key, replication=replication, pair=pair, index=i, amc=value)
-        for pair, values in report.amc.items()
-        for i, value in enumerate(values)
-    ]
-    marg_rows = []
-    for rec in report.records:
-        if rec.marginal is None:
-            continue
-        for j, d in enumerate(rec.marginal):
-            marg_rows.append(
-                dict(cell_key, replication=replication, split=rec.split, fold=rec.fold, model=rec.model, variable=j, distance=d)
-            )
-    extra_rows = []
-    for rec in report.records:
+        rec_key = dict(key, split=rec.split, fold=rec.fold, model=rec.model)
+        tables["distances"].append(dict(rec_key, distance="" if rec.failed else rec.distance, failed=int(rec.failed)))
+        if rec.marginal is not None:
+            tables["marginal"] += [dict(rec_key, variable=j, distance=d) for j, d in enumerate(rec.marginal)]
         if rec.corr_gap is not None:
-            extra_rows.append(
-                dict(cell_key, replication=replication, split=rec.split, fold=rec.fold, model=rec.model, corr_gap=rec.corr_gap)
-            )
-    resid_rows = []
-    for rec in report.records:
-        if rec.residuals is None:
-            continue
-        for j in range(rec.residuals.shape[1]):
-            for rank, value in enumerate(rec.residuals[:, j]):
-                resid_rows.append(
-                    dict(cell_key, replication=replication, split=rec.split, fold=rec.fold, model=rec.model, variable=j, rank=rank, residual=value)
-                )
-    return dist_rows, amc_rows, marg_rows, extra_rows, resid_rows
+            tables["corr_gap"].append(dict(rec_key, corr_gap=rec.corr_gap))
+        if rec.residuals is not None:
+            tables["residuals"] += [
+                dict(rec_key, variable=j, rank=rank, residual=value)
+                for j, column in enumerate(rec.residuals.T)
+                for rank, value in enumerate(column)
+            ]
+    tables["amc"] = [
+        dict(key, pair=pair, index=i, amc=value) for pair, values in report.amc.items() for i, value in enumerate(values)
+    ]
+    return tables
+
+
+def _seed(*entropy) -> int:
+    return int(np.random.SeedSequence(list(entropy)).generate_state(1)[0])
+
+
+def _models(config: ExperimentConfig, covariates: bool) -> list:
+    """The config's model adapters; ``hnb_cv`` runs only with covariates."""
+    return [make_model(tag, config.qmc_points) for tag in config.models if covariates or tag != "hnb_cv"]
 
 
 def _setting_one_flavor(flavor_name: str) -> Flavor:
     return Flavor.ZINB if flavor_name.lower() == "zinb" else Flavor.HNB
 
 
-def _calibrate_setting_one(config: ExperimentConfig, zero_target: float, flavor_name: str):
+def _calibrate_setting_one(config: ExperimentConfig, point: dict, source):
     """(gamma0, mode) of one setting-one grid point, or the exception that
     calibrating it raised. It depends on the config seed, n, flavor and
     zero target only, so every replication of the point shares it."""
-    base = setting_one_config(_setting_one_flavor(flavor_name), gamma0=0.0, n=config.n or 500)
-    cal_seed = int(np.random.SeedSequence([config.seed, 11]).generate_state(1)[0])
+    base = setting_one_config(_setting_one_flavor(point["flavor"]), gamma0=0.0, n=config.n or 500)
+    cal_seed = _seed(config.seed, 11)
     try:
-        return resolve_setting_one_gamma0(base, zero_target, cal_seed)
+        return resolve_setting_one_gamma0(base, point["zero_target"], cal_seed)
     except Exception as exc:  # noqa: BLE001 - the point's cells record it
         return exc
 
 
-def _run_setting_one_cell(args):
-    config, zero_target, flavor_name, replication, calibration = args
+def _source_values(config: ExperimentConfig, point: dict, source: Dataset):
+    return source.values
+
+
+def _run_setting_one_cell(config, point, replication, calibration):
     if isinstance(calibration, Exception):
         raise calibration
     gamma0, mode = calibration
-    flavor = _setting_one_flavor(flavor_name)
+    zero_target = point["zero_target"]
+    flavor = _setting_one_flavor(point["flavor"])
     cfg = setting_one_config(flavor, gamma0=gamma0, n=config.n or 500)
-    data_seed = int(
-        np.random.SeedSequence(
-            [config.seed, 12, replication, int(round(zero_target * 1000)), int(flavor is Flavor.ZINB)]
-        ).generate_state(1)[0]
+    y, x = gen_setting_one(
+        cfg, _seed(config.seed, 12, replication, int(round(zero_target * 1000)), int(flavor is Flavor.ZINB))
     )
-    y, x = gen_setting_one(cfg, data_seed)
     X = np.column_stack([np.ones(len(y)), x])
     rows = []
     for model_flavor in (Flavor.ZINB, Flavor.HNB):
@@ -419,23 +387,17 @@ def _run_setting_one_cell(args):
     return {"aic": rows}
 
 
-def _run_deflation_cell(args):
-    config, pi_h, replication = args
-    from scipy.special import logit as _logit
-
-    n = config.n or 700
-    cfg = setting_one_deflation_config(gamma0=float(_logit(pi_h)), n=n)
-    data_seed = int(
-        np.random.SeedSequence([config.seed, 21, replication, int(round(pi_h * 1000))]).generate_state(1)[0]
-    )
-    y, x = gen_setting_one(cfg, data_seed)
+def _run_deflation_cell(config, point, replication, _):
+    pi_h = point["pi_h"]
+    cfg = setting_one_deflation_config(gamma0=float(logit(pi_h)), n=config.n or 700)
+    y, x = gen_setting_one(cfg, _seed(config.seed, 21, replication, int(round(pi_h * 1000))))
     X = np.column_stack([np.ones(len(y)), x])
     fit_z = fit_regression(y, X, X, Flavor.ZINB)
     fit_h = fit_regression(y, X, None, Flavor.HNB)
     return {
         "aic": [
             dict(
-                pi_h=pi_h,
+                point,
                 replication=replication,
                 aic_zinb=fit_z.aic,
                 aic_hnb=fit_h.aic,
@@ -446,62 +408,62 @@ def _run_deflation_cell(args):
     }
 
 
-def _run_setting_two_cell(args):
-    config, corr_kind, rho, beta1, gamma0, gamma1, replication = args
-    spec = CorrelationSpec(kind=CorrKind(corr_kind), rho=float(rho), p=5, orthogonal_seed=config.seed)
-    cfg = setting_two_config(spec, beta1=float(beta1), gamma0=float(gamma0), gamma1=float(gamma1), n=config.n or 1200)
-    data_seed = int(
-        np.random.SeedSequence(
-            [config.seed, 31, replication, hash_cell(corr_kind, rho, beta1, gamma0, gamma1)]
-        ).generate_state(1)[0]
-    )
-    Y, X = gen_setting_two(cfg, data_seed)
-    eval_seed = int(np.random.SeedSequence([config.seed, 32, replication]).generate_state(1)[0])
+def _corr_spec(config: ExperimentConfig, point: dict) -> CorrelationSpec:
+    return CorrelationSpec(kind=CorrKind(point["corr"]), rho=point["rho"], p=5, orthogonal_seed=config.seed)
+
+
+def _cv_tables(config: ExperimentConfig, point: dict, replication: int, Y, X, eval_tag: int) -> dict:
+    """Tables of a k-fold CV of the config's models on one generated dataset."""
     report = kfold_cv(
         Y,
         covariates=X,
         k=config.folds,
-        models=[make_model(tag, config.qmc_points) for tag in config.models],
-        seed=eval_seed,
+        models=_models(config, X is not None),
+        seed=_seed(config.seed, eval_tag, replication),
         order=config.order,
         collect_extras=config.collect_extras,
     )
-    cell_key = dict(corr=corr_kind, rho=rho, beta1=beta1, gamma0=gamma0, gamma1=gamma1)
-    dist_rows, amc_rows, marg_rows, extra_rows, resid_rows = _amc_rows_from_report(report, cell_key, replication)
-    return {"distances": dist_rows, "amc": amc_rows, "marginal": marg_rows, "corr_gap": extra_rows, "residuals": resid_rows}
+    return _report_tables(report, dict(point, replication=replication))
 
 
-def _run_setting_three_cell(args):
-    config, corr_kind, rho, zero_target, transform, replication, source_values = args
-    spec = CorrelationSpec(kind=CorrKind(corr_kind), rho=float(rho), p=5, orthogonal_seed=config.seed)
+def _run_setting_two_cell(config, point, replication, _):
+    cfg = setting_two_config(
+        _corr_spec(config, point),
+        beta1=point["beta1"],
+        gamma0=point["gamma0"],
+        gamma1=point["gamma1"],
+        n=config.n or 1200,
+    )
+    Y, X = gen_setting_two(cfg, _seed(config.seed, 31, replication, hash_cell(*point.values())))
+    return _cv_tables(config, point, replication, Y, X, eval_tag=32)
+
+
+def _run_setting_three_cell(config, point, replication, source_values):
     cfg = SettingConfig(
         setting=Setting.THREE,
         n=config.n or 1200,
         p=5,
-        corr=spec,
-        zero_target=float(zero_target),
-        transform=str(transform),
+        corr=_corr_spec(config, point),
+        zero_target=point["zero_target"],
+        transform=point["transform"],
         marginal_source=source_values,
     )
-    data_seed = int(
-        np.random.SeedSequence(
-            [config.seed, 41, replication, hash_cell(corr_kind, rho, zero_target, transform)]
-        ).generate_state(1)[0]
-    )
-    Y = gen_setting_three(cfg, data_seed)
-    eval_seed = int(np.random.SeedSequence([config.seed, 42, replication]).generate_state(1)[0])
-    report = kfold_cv(
-        Y,
-        covariates=None,
-        k=config.folds,
-        models=[make_model(tag, config.qmc_points) for tag in config.models if tag != "hnb_cv"],
-        seed=eval_seed,
+    Y = gen_setting_three(cfg, _seed(config.seed, 41, replication, hash_cell(*point.values())))
+    return _cv_tables(config, point, replication, Y, None, eval_tag=42)
+
+
+def _run_real_data_cell(config, point, replication, source_values):
+    # one cell: the split loop lives inside random_split_eval
+    report = random_split_eval(
+        source_values,
+        folds=config.folds,
+        n_splits=config.n_splits,
+        models=_models(config, covariates=False),
+        seed=config.seed,
         order=config.order,
         collect_extras=config.collect_extras,
     )
-    cell_key = dict(corr=corr_kind, rho=rho, zero_target=zero_target, transform=transform)
-    dist_rows, amc_rows, marg_rows, extra_rows, resid_rows = _amc_rows_from_report(report, cell_key, replication)
-    return {"distances": dist_rows, "amc": amc_rows, "marginal": marg_rows, "corr_gap": extra_rows, "residuals": resid_rows}
+    return _report_tables(report, dict(point, replication=replication))
 
 
 def hash_cell(*parts) -> int:
@@ -509,65 +471,71 @@ def hash_cell(*parts) -> int:
     return int.from_bytes(digest[:4], "little")
 
 
+class _Spec(NamedTuple):
+    """How one experiment expands into cells and runs each of them.
+
+    ``grid`` holds one (key, coerce, valid) entry per grid key, in cell
+    order: the nesting of the expansion, the cell key that leads the rows,
+    the ``hash_cell`` arguments and a failed cell's manifest ``args`` all
+    follow it. ``context(config, point, source)`` is computed once per grid
+    point and shared by its replications; ``needs_source`` experiments read
+    ``config.dataset``; ``replicated=False`` runs one cell per point
+    whatever ``config.replications`` says.
+    """
+
+    worker: Callable
+    grid: tuple = ()
+    context: Optional[Callable] = None
+    needs_source: bool = False
+    replicated: bool = True
+
+
+_CORR = ("corr", lambda v: str(v).upper(), lambda v: v in ("AR", "GD"))
+_RHO = ("rho", float, lambda v: -1.0 < v < 1.0)
+_ZERO_TARGET = ("zero_target", float, lambda v: 0.0 < v < 1.0)
+
+
+_SPECS = {
+    Experiment.SETTING_ONE: _Spec(
+        _run_setting_one_cell,
+        (_ZERO_TARGET, ("flavor", str, lambda v: v.lower() in ("zinb", "hnb"))),
+        context=_calibrate_setting_one,
+    ),
+    Experiment.SETTING_ONE_DEFLATION: _Spec(_run_deflation_cell, (("pi_h", float, lambda v: 0.0 < v < 1.0),)),
+    Experiment.SETTING_TWO: _Spec(
+        _run_setting_two_cell,
+        (_CORR, _RHO, ("beta1", float, np.isfinite), ("gamma0", float, np.isfinite), ("gamma1", float, np.isfinite)),
+    ),
+    Experiment.SETTING_THREE: _Spec(
+        _run_setting_three_cell,
+        (_CORR, _RHO, _ZERO_TARGET, ("transform", str, lambda v: v in ("none", "sqrt"))),
+        context=_source_values,
+        needs_source=True,
+    ),
+    Experiment.REAL_DATA: _Spec(_run_real_data_cell, context=_source_values, needs_source=True, replicated=False),
+}
+
+
 def _cells(config: ExperimentConfig, source: Optional[Dataset]):
-    """Expand the config grid into (worker, args) cell descriptors."""
+    """Expand the config grid into (worker, args, labels) cells, one per grid
+    point and replication; ``labels`` name a failed cell in the manifest."""
+    spec = _SPECS[config.experiment]
+    keys = [key for key, _, _ in spec.grid]
+    axes = [[coerce(v) for v in config.grids[key]] for key, coerce, _ in spec.grid]
     cells = []
-    if config.experiment is Experiment.SETTING_ONE:
-        for zt in config.grids["zero_target"]:
-            for fl in config.grids["flavor"]:
-                calibration = _calibrate_setting_one(config, float(zt), str(fl))
-                for rep in range(config.replications):
-                    cells.append((_run_setting_one_cell, (config, float(zt), str(fl), rep, calibration)))
-    elif config.experiment is Experiment.SETTING_ONE_DEFLATION:
-        for ph in config.grids["pi_h"]:
-            for rep in range(config.replications):
-                cells.append((_run_deflation_cell, (config, float(ph), rep)))
-    elif config.experiment is Experiment.SETTING_TWO:
-        for corr in config.grids["corr"]:
-            for rho in config.grids["rho"]:
-                for b1 in config.grids["beta1"]:
-                    for g0 in config.grids["gamma0"]:
-                        for g1 in config.grids["gamma1"]:
-                            for rep in range(config.replications):
-                                cells.append(
-                                    (_run_setting_two_cell, (config, str(corr).upper(), float(rho), float(b1), float(g0), float(g1), rep))
-                                )
-    elif config.experiment is Experiment.SETTING_THREE:
-        for corr in config.grids["corr"]:
-            for rho in config.grids["rho"]:
-                for zt in config.grids["zero_target"]:
-                    for tr in config.grids["transform"]:
-                        for rep in range(config.replications):
-                            cells.append(
-                                (
-                                    _run_setting_three_cell,
-                                    (config, str(corr).upper(), float(rho), float(zt), str(tr), rep, source.values),
-                                )
-                            )
-    else:  # real data: one cell, the split loop lives inside random_split_eval
-        cells.append((_run_real_data_cell, (config, source.values)))
+    for values in itertools.product(*axes):
+        point = dict(zip(keys, values))
+        context = spec.context(config, point, source) if spec.context else None
+        for rep in range(config.replications if spec.replicated else 1):
+            labels = [str(v) for v in values] + ([str(rep)] if spec.replicated else [])
+            cells.append((spec.worker, (config, point, rep, context), labels))
     return cells
 
 
-def _run_real_data_cell(args):
-    config, values = args
-    report = random_split_eval(
-        values,
-        folds=config.folds,
-        n_splits=config.n_splits,
-        models=[make_model(tag, config.qmc_points) for tag in config.models if tag != "hnb_cv"],
-        seed=config.seed,
-        order=config.order,
-        collect_extras=config.collect_extras,
-    )
-    dist_rows, amc_rows, marg_rows, extra_rows, resid_rows = _amc_rows_from_report(report, {}, 0)
-    return {"distances": dist_rows, "amc": amc_rows, "marginal": marg_rows, "corr_gap": extra_rows, "residuals": resid_rows}
-
-
 def _run_cell_guarded(item):
-    worker, args = item
+    worker, args, _ = item
     try:
-        return worker(args), None
+        return worker(*args), None
     except Exception as exc:  # noqa: BLE001 - failures become manifest entries
         return None, f"{type(exc).__name__}: {exc}"
 
@@ -593,7 +561,7 @@ def run_experiment(config: ExperimentConfig) -> Path:
 
     Returns the results directory. Output files: one CSV per table kind,
     plus manifest.json carrying the config hash, master seed, package
-    version, and any failed cells. A completed manifest with the same
+    version, the names of the tables written, and any failed cells. A completed manifest with the same
     hash short-circuits the run unless ``config.force``.
     """
     out = Path(config.out)
@@ -605,9 +573,7 @@ def run_experiment(config: ExperimentConfig) -> Path:
             return out
     out.mkdir(parents=True, exist_ok=True)
 
-    source = None
-    if config.experiment in (Experiment.SETTING_THREE, Experiment.REAL_DATA):
-        source = _load_source(config)
+    source = _load_source(config) if _SPECS[config.experiment].needs_source else None
 
     cells = _cells(config, source)
     if not cells:
@@ -622,13 +588,13 @@ def run_experiment(config: ExperimentConfig) -> Path:
 
     tables: dict = {}
     failures = []
-    for (worker, args), (payload, error) in zip(cells, results):
+    for (worker, _, labels), (payload, error) in zip(cells, results):
         if error is not None:
-            key = [str(a) for a in args[1:] if isinstance(a, (str, int, float))]
-            failures.append({"worker": worker.__name__, "args": key, "error": error})
+            failures.append({"worker": worker.__name__, "args": labels, "error": error})
             continue
         for name, rows in payload.items():
-            tables.setdefault(name, []).extend(rows)
+            if rows:
+                tables.setdefault(name, []).extend(rows)
 
     for name, rows in tables.items():
         rows.sort(key=_sort_key)

@@ -117,7 +117,7 @@ def _cmd_experiment(command: str, args) -> int:
         manifest = json.load(fh)
     failures = manifest.get("failures", [])
     print(f"results: {out} ({manifest['n_cells']} cells, {len(failures)} failed)")
-    if failures and not (args.allow_partial or config.allow_partial):
+    if failures and not args.allow_partial:
         for f in failures[:10]:
             print(f"failed cell: {f}", file=sys.stderr)
         return 3

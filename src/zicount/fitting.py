@@ -285,11 +285,6 @@ def _init_beta(y, X):
     return np.clip(coef, -10.0, 10.0)
 
 
-def _fit_logistic(b, Z, options: FitOptions):
-    res = _minimize_with_restarts(_logistic_negll, np.zeros(Z.shape[1]), (b, Z), options)
-    return res
-
-
 def fit_regression(y, X, Z=None, flavor: Flavor = Flavor.ZINB, options: Optional[FitOptions] = None) -> RegressionFit:
     """Maximum-likelihood fit of a ZINB or hurdle-NB regression.
 
@@ -321,7 +316,7 @@ def fit_regression(y, X, Z=None, flavor: Flavor = Flavor.ZINB, options: Optional
     if flavor is Flavor.ZINB:
         if not (y == 0).any() or not (y > 0).any():
             raise DegenerateDataError("ZINB needs at least one zero and one positive count")
-        g0 = _fit_logistic((y == 0).astype(float), Z, options)[0]
+        g0 = _minimize_with_restarts(_logistic_negll, np.zeros(q2), ((y == 0).astype(float), Z), options)[0]
         theta0 = np.concatenate([_init_beta(y, X), g0, [0.0]])
         x, negll, ok, trace = _minimize_with_restarts(_zinb_negll, theta0, (y.astype(float), X, Z), options)
         coef = RegressionCoefficients(
@@ -335,7 +330,9 @@ def fit_regression(y, X, Z=None, flavor: Flavor = Flavor.ZINB, options: Optional
             raise ValueError("the hurdle model uses one shared design; pass Z=None")
         if not (y > 0).any():
             raise DegenerateDataError("hurdle fit needs at least one positive count")
-        g, negll_g, ok_g, trace_g = _fit_logistic((y == 0).astype(float), X, options)
+        g, negll_g, ok_g, trace_g = _minimize_with_restarts(
+            _logistic_negll, np.zeros(q1), ((y == 0).astype(float), X), options
+        )
         yp = y[y > 0].astype(float)
         Xp = X[y > 0]
         theta0 = np.concatenate([_init_beta(y, X), [0.0]])

@@ -21,6 +21,7 @@ from zicount.bench import (
     select_by_zero_proportion,
 )
 from zicount.counts import Flavor
+from zicount.evaluate import EvalRecord, EvalReport
 from zicount.exceptions import InfeasibleTargetError, ParseError, SelectionError
 from zicount.synth import resolve_setting_one_gamma0, setting_one_config
 
@@ -309,6 +310,93 @@ class TestRunExperiment:
         tables = read_results(out)
         assert len(tables["amc"]) == 2  # one AMC per split
         assert all(r["pair"] == "hnb_vs_tlnpn" for r in tables["amc"])
+
+
+def tiny_config(experiment, out, counts_path):
+    """The smallest config of each experiment kind that still runs every stage."""
+    base = dict(out=str(out), seed=2, folds=3, n=90, qmc_points=256)
+    return ExperimentConfig(
+        experiment=experiment,
+        **{
+            Experiment.SETTING_ONE: dict(base, grids={"zero_target": [0.4], "flavor": ["zinb"]}),
+            Experiment.SETTING_ONE_DEFLATION: dict(base, grids={"pi_h": [0.3]}, n=150),
+            Experiment.SETTING_TWO: dict(
+                base, grids={"beta1": [0.0], "gamma0": [-2.0], "gamma1": [0.0], "rho": [0.5], "corr": ["AR"]}
+            ),
+            Experiment.SETTING_THREE: dict(
+                base,
+                grids={"rho": [0.5], "zero_target": [0.4], "transform": ["none"], "corr": ["AR"]},
+                dataset="standin",
+            ),
+            Experiment.REAL_DATA: dict(base, n=None, n_splits=1, dataset=str(counts_path)),
+        }[experiment],
+    )
+
+
+class TestManifestTables:
+    @pytest.mark.parametrize("experiment", list(Experiment))
+    def test_tables_are_exactly_the_written_csvs(self, tmp_path, experiment):
+        rng = np.random.default_rng(0)
+        counts = tmp_path / "counts.csv"
+        counts.write_text("a,b,c\n" + "\n".join(",".join(map(str, row)) for row in rng.poisson(1.0, (40, 3))) + "\n")
+        out = run_experiment(tiny_config(experiment, tmp_path / "res", counts))
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["failures"] == []
+        assert manifest["tables"] == sorted(path.stem for path in out.glob("*.csv"))
+
+
+class TestReportTables:
+    def test_rows_and_column_order(self):
+        records = (
+            EvalRecord(
+                split=1,
+                fold=0,
+                model="hnb",
+                distance=1.5,
+                marginal=np.array([0.25, 0.5]),
+                corr_gap=0.125,
+                residuals=np.array([[1.0, -1.0], [2.0, 0.0]]),  # rank x variable
+            ),
+            EvalRecord(split=1, fold=0, model="tlnpn", distance=0.75),
+            EvalRecord(split=1, fold=1, model="tlnpn", distance=float("nan"), failed=True, error="boom"),
+        )
+        report = EvalReport(records=records, amc={"hnb_vs_tlnpn": [0.5, -0.25]}, order=1, seed=0, fingerprint="f")
+        tables = bench._report_tables(report, {"corr": "AR", "rho": 0.5, "replication": 2})
+
+        lead = ["corr", "rho", "replication"]
+        rec_cols = lead + ["split", "fold", "model"]
+        expected = {
+            "distances": (
+                rec_cols + ["distance", "failed"],
+                [
+                    ("AR", 0.5, 2, 1, 0, "hnb", 1.5, 0),
+                    ("AR", 0.5, 2, 1, 0, "tlnpn", 0.75, 0),
+                    ("AR", 0.5, 2, 1, 1, "tlnpn", "", 1),
+                ],
+            ),
+            "amc": (
+                lead + ["pair", "index", "amc"],
+                [("AR", 0.5, 2, "hnb_vs_tlnpn", 0, 0.5), ("AR", 0.5, 2, "hnb_vs_tlnpn", 1, -0.25)],
+            ),
+            "marginal": (
+                rec_cols + ["variable", "distance"],
+                [("AR", 0.5, 2, 1, 0, "hnb", 0, 0.25), ("AR", 0.5, 2, 1, 0, "hnb", 1, 0.5)],
+            ),
+            "corr_gap": (rec_cols + ["corr_gap"], [("AR", 0.5, 2, 1, 0, "hnb", 0.125)]),
+            "residuals": (
+                rec_cols + ["variable", "rank", "residual"],
+                [
+                    ("AR", 0.5, 2, 1, 0, "hnb", 0, 0, 1.0),
+                    ("AR", 0.5, 2, 1, 0, "hnb", 0, 1, 2.0),
+                    ("AR", 0.5, 2, 1, 0, "hnb", 1, 0, -1.0),
+                    ("AR", 0.5, 2, 1, 0, "hnb", 1, 1, 0.0),
+                ],
+            ),
+        }
+        assert set(tables) == set(expected)
+        for name, (columns, rows) in expected.items():
+            assert [list(row) for row in tables[name]] == [columns] * len(rows), name
+            assert [tuple(row.values()) for row in tables[name]] == rows, name
 
 
 class TestEmitReport:

@@ -4,8 +4,10 @@ import json
 import numpy as np
 import pytest
 
+from zicount import bench
 from zicount.cli import main
 from zicount.evaluate import wasserstein_pd
+from zicount.exceptions import InfeasibleTargetError
 
 
 def write_counts(path, values, names=None):
@@ -135,3 +137,33 @@ class TestExperimentCommands:
         cfg_path.write_text(json.dumps({"experiment": "setting-one", "grids": {}}))
         assert main(["setting-one", "--config", str(cfg_path)]) == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, code", [([], 3), (["--allow-partial"], 0)])
+    def test_failed_cell_exit_code(self, tmp_path, monkeypatch, capsys, flags, code):
+        def failing_at_04(config, zero_target, seed):
+            if zero_target == 0.4:
+                raise InfeasibleTargetError("no gamma0 reaches the target")
+            return resolve(config, zero_target, seed)
+
+        resolve = bench.resolve_setting_one_gamma0
+        monkeypatch.setattr(bench, "resolve_setting_one_gamma0", failing_at_04)
+        cfg = {
+            "experiment": "setting-one",
+            "grids": {"zero_target": [0.2, 0.4], "flavor": ["zinb"]},
+            "seed": 3,
+            "out": str(tmp_path / "res"),
+            "n": 120,
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["setting-one", "--config", str(cfg_path), *flags]) == code
+        captured = capsys.readouterr()
+        assert "1 failed" in captured.out
+        assert ("failed cell" in captured.err) == (code == 3)
+
+    def test_allow_partial_is_not_a_config_key(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg = {"experiment": "setting-one-deflation", "grids": {"pi_h": [0.3]}, "out": str(tmp_path / "res"), "allow_partial": True}
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["setting-one-deflation", "--config", str(cfg_path)]) == 1
+        assert "allow_partial" in capsys.readouterr().err
