@@ -238,7 +238,11 @@ class ExperimentConfig:
             if not values:
                 raise ValueError(f"{self.experiment.value} needs a nonempty grid for {key!r}")
             for v in values:
-                if not valid(coerce(v)):
+                try:
+                    ok = valid(coerce(v))
+                except (TypeError, ValueError):  # e.g. a JSON null or a non-numeric string
+                    ok = False
+                if not ok:
                     raise ValueError(f"grid value {v!r} out of range for {key!r}")
         if spec.needs_source and not self.dataset:
             raise ValueError(f"{self.experiment.value} needs a dataset path (or 'standin')")

@@ -6,8 +6,9 @@ The table holds bridge_TT(sigma, dj, dk) on a grid: the truncation levels
 latent correlations ``SIGMA_NODES``, 33 arcsine-spaced nodes over
 +-0.9999 (uniform in theta = arcsin(sigma / 0.9999), in which the bridge
 is nearly linear). Each value is :func:`tabulate`, the batched kernel
-``copula._bridge_batch`` on a Sobol stream of ``POINTS`` points, so the
-table is exactly symmetric in (dj, dk). It is stored next to this module
+``copula._bridge_batch`` on the Sobol stream of ``POINTS`` points that
+the scalar ``copula.bridge_tt`` also uses, so the table is exactly
+symmetric in (dj, dk). It is stored next to this module
 as a float64 ``.npy`` array of shape (delta, delta, sigma) and read on
 first use. Regenerate it with ``python scripts/make_bridge_table.py``.
 
@@ -34,13 +35,12 @@ TABLE_SHAPE = (DELTA_NODES.size, DELTA_NODES.size, SIGMA_NODES.size)
 
 def tabulate(s, j, k) -> np.ndarray:
     """Table values at sigma node ``s`` and delta nodes ``j``, ``k`` (index
-    arrays). The larger truncation level goes first, because the kernel's
-    Genz recursion is accurate when its most restrictive limit leads; this
-    also makes the values symmetric in (j, k)."""
+    arrays): the bridge kernel on the stream of ``POINTS`` points, which is
+    also the stream of the scalar ``copula.bridge_tt``. The kernel puts the
+    larger truncation level first, so the values are symmetric in (j, k)."""
     from .copula import _bridge_batch  # copula imports this module
 
-    dj, dk = DELTA_NODES[np.maximum(j, k)], DELTA_NODES[np.minimum(j, k)]
-    return _bridge_batch(SIGMA_NODES[s], dj, dk, POINTS)
+    return _bridge_batch(SIGMA_NODES[s], DELTA_NODES[j], DELTA_NODES[k], POINTS)
 
 
 def save_table(values, path) -> None:

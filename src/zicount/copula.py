@@ -6,10 +6,13 @@ levels. The latent correlation is recovered by inverting the bridge
 function that maps a latent correlation (plus the two truncation levels)
 to the population Kendall's tau of the observed pair.
 
-Four-dimensional Gaussian orthant probabilities are computed with a
+Four-dimensional Gaussian orthant probabilities are computed with Genz's
 separation-of-variables reduction to a 3-d integral over the unit cube,
 evaluated by randomized quasi-Monte Carlo with a fixed internal seed, so
-every function here is deterministic.
+every function here is deterministic. :func:`phi4` is the generic 4-d
+CDF; the bridge has one closed-form kernel (:func:`_tt_bridge`) and one
+root finder (:func:`_invert_bridge_batch`), which :func:`bridge_tt`,
+:func:`invert_bridge` and :func:`fit_tlnpn` all call.
 """
 
 import warnings
@@ -17,7 +20,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
 from scipy.stats import qmc
 
@@ -211,17 +213,28 @@ def _sigma4_pair(s):
     return s4a, s4b
 
 
-def bridge_tt(sigma_jk: float, delta_j: float, delta_k: float, tol: float = 1e-6) -> float:
+def bridge_tt(sigma_jk: float, delta_j: float, delta_k: float) -> float:
     """Population Kendall's tau of a truncated pair with latent correlation
     ``sigma_jk`` and truncation levels ``delta_j``, ``delta_k``.
 
-    Strictly increasing in ``sigma_jk``; zero at zero.
+    Strictly increasing in ``sigma_jk``; zero at zero; symmetric in the two
+    levels. One pair of :func:`_bridge_batch` on the fixed stream of
+    ``bridge_table.POINTS`` Sobol points that the packaged table is built on.
     """
     if not abs(sigma_jk) < 1.0:
         raise InvalidCorrelationError("|sigma_jk| must be < 1")
-    s4a, s4b = _sigma4_pair(float(sigma_jk))
-    limits = np.array([-delta_j, -delta_k, 0.0, 0.0])
-    return -2.0 * phi4(limits, s4a, tol) + 2.0 * phi4(limits, s4b, tol)
+    return float(_bridge_batch([sigma_jk], [delta_j], [delta_k], bridge_table.POINTS)[0])
+
+
+def invert_bridge(tau_hat: float, delta_j: float, delta_k: float) -> float:
+    """Latent correlation whose :func:`bridge_tt` value equals ``tau_hat``.
+
+    One pair of :func:`_invert_bridge_batch` on the stream of
+    :func:`bridge_tt`, solved to a bracket of 1e-6. A ``tau_hat`` at or
+    beyond the bridge value of the endpoint +-0.9999 on its side is clamped
+    to that endpoint with a ``ClampedCorrelationWarning``.
+    """
+    return float(_invert_bridge_batch([tau_hat], [delta_j], [delta_k], bridge_table.POINTS)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -231,11 +244,11 @@ def bridge_tt(sigma_jk: float, delta_j: float, delta_k: float, tol: float = 1e-6
 class _TTBlock(NamedTuple):
     """The sigma-free part of the bridge's Genz recursion for a block of pairs.
 
-    Both 4-d CDFs of the bridge have limits (-dj, -dk, 0, 0) and the same
-    first Cholesky row, rows 0 and 1 of Sigma4a carry no sigma, and row 2
-    of Sigma4b depends on row 0 alone (see :func:`_tt_bridge`), so these
-    values serve every evaluation of the block. Arrays are (b, 1) or
-    (b, n_points).
+    Both 4-d CDFs of the bridge have limits (-dj, -dk, 0, 0), dj >= dk,
+    and the same first Cholesky row, rows 0 and 1 of Sigma4a carry no
+    sigma, and row 2 of Sigma4b depends on row 0 alone (see
+    :func:`_tt_bridge`), so these values serve every evaluation of the
+    block. Arrays are (b, 1) or (b, n_points).
     """
 
     ndk: np.ndarray  # -dk, the limit of row 1
@@ -260,8 +273,13 @@ def _genz_quantile(w_col, e):
 
 
 def _tt_block(dj, dk, w) -> _TTBlock:
-    ndk = -np.asarray(dk, dtype=float)[:, None]
-    e0 = ndtr(-np.asarray(dj, dtype=float)[:, None])
+    # The bridge is symmetric in (dj, dk), but the Genz recursion is accurate
+    # only with its most restrictive limit, -max(dj, dk), first: at sigma =
+    # 0.9999 and levels (-4, 4) the other order gives 3.6e-68 for 6.3e-5.
+    dj, dk = (np.asarray(x, dtype=float) for x in (dj, dk))
+    dj, dk = np.maximum(dj, dk), np.minimum(dj, dk)
+    ndk = -dk[:, None]
+    e0 = ndtr(-dj[:, None])
     e1a = ndtr(ndk)
     y0 = _genz_quantile(w[:, 0], e0)
     e2b = ndtr(-y0)
@@ -294,7 +312,9 @@ def _tt_bridge(block: _TTBlock, sig, w) -> np.ndarray:
 
 
 def _bridge_batch(sig, dj, dk, n_points: int) -> np.ndarray:
-    """Vectorized bridge values for per-pair (sigma, delta_j, delta_k)."""
+    """Vectorized bridge values for per-pair (sigma, delta_j, delta_k) on
+    the stream of ``n_points`` Sobol points; bit for bit symmetric in
+    (delta_j, delta_k)."""
     sig, dj, dk = (np.asarray(x, dtype=float) for x in (sig, dj, dk))
     w = _sobol_points(n_points)
     out = np.empty(sig.shape[0])
@@ -304,39 +324,10 @@ def _bridge_batch(sig, dj, dk, n_points: int) -> np.ndarray:
     return out
 
 
-def invert_bridge(tau_hat: float, delta_j: float, delta_k: float, *, bracket_tol: float = 1e-6, phi4_tol: float = 1e-6) -> float:
-    """Latent correlation whose bridge value equals ``tau_hat``.
-
-    The bridge is strictly increasing and exactly 0 at 0, so the root lies
-    between 0 and the endpoint +-0.9999 on tau_hat's side; only that
-    endpoint is evaluated before the bracketing search. A ``tau_hat`` at or
-    beyond the endpoint's bridge value is clamped to it with a warning.
-    """
-    if not (np.isfinite(delta_j) and np.isfinite(delta_k)):
-        raise ValueError("truncation levels must be finite")
-    if tau_hat == 0.0:
-        return 0.0
-
-    edge = float(np.copysign(_SIGMA_BRACKET, tau_hat))
-    g_edge = bridge_tt(edge, delta_j, delta_k, tol=phi4_tol) - tau_hat
-    if (g_edge <= 0.0) if tau_hat > 0.0 else (g_edge >= 0.0):
-        warnings.warn(
-            f"tau_hat={tau_hat:.4g} outside the invertible range; clamped to sigma={edge}",
-            ClampedCorrelationWarning,
-            stacklevel=2,
-        )
-        return edge
-    known = {0.0: -tau_hat, edge: g_edge}
-
-    def g(s):
-        return known[s] if s in known else bridge_tt(s, delta_j, delta_k, tol=phi4_tol) - tau_hat
-
-    return float(brentq(g, min(0.0, edge), max(0.0, edge), xtol=bracket_tol))
-
-
-def _invert_bridge_batch(tau, dj, dk, n_points: int = 4096) -> np.ndarray:
-    """Batched :func:`invert_bridge` on one shared QMC stream, used for
-    whole-matrix fits.
+def _invert_bridge_batch(tau, dj, dk, n_points: int) -> np.ndarray:
+    """Latent correlations whose bridge values on one shared stream of
+    ``n_points`` Sobol points equal ``tau``: the one bridge root finder,
+    behind both :func:`invert_bridge` and :func:`fit_tlnpn`.
 
     Each pair starts from the packaged bridge table
     (:func:`_seeded_brackets`). A pair whose tau lies within one table

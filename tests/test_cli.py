@@ -138,6 +138,13 @@ class TestExperimentCommands:
         assert main(["setting-one", "--config", str(cfg_path)]) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_null_grid_value_is_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg = {"experiment": "setting-one-deflation", "grids": {"pi_h": [None]}, "out": str(tmp_path / "res")}
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["setting-one-deflation", "--config", str(cfg_path)]) == 1
+        assert "error: grid value None out of range for 'pi_h'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flags, code", [([], 3), (["--allow-partial"], 0)])
     def test_failed_cell_exit_code(self, tmp_path, monkeypatch, capsys, flags, code):
         def failing_at_04(config, zero_target, seed):
