@@ -15,6 +15,7 @@ root finder (:func:`_invert_bridge_batch`), which :func:`bridge_tt`,
 :func:`invert_bridge` and :func:`fit_tlnpn` all call.
 """
 
+import functools
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -263,8 +264,13 @@ class _TTBlock(NamedTuple):
         return _TTBlock(*(x[keep] for x in self))
 
 
+@functools.lru_cache(maxsize=4)
 def _sobol_points(n_points: int) -> np.ndarray:
-    return qmc.Sobol(3, scramble=True, seed=_QMC_SEED).random(n_points)
+    """The shared scrambled Sobol stream of ``n_points`` points, built once
+    per size and returned read-only."""
+    w = qmc.Sobol(3, scramble=True, seed=_QMC_SEED).random(n_points)
+    w.flags.writeable = False
+    return w
 
 
 def _genz_quantile(w_col, e):

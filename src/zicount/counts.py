@@ -12,7 +12,7 @@ import numpy as np
 from scipy.special import digamma, gammaln
 from scipy.stats import nbinom
 
-from .exceptions import DegenerateTruncationError, InvalidParameterError
+from .exceptions import CountOverflowError, DegenerateTruncationError, InvalidParameterError
 
 __all__ = [
     "Flavor",
@@ -23,9 +23,6 @@ __all__ = [
     "hnb_pmf",
     "sample_count",
 ]
-
-# total rejected draws tolerated before switching to inverse-CDF sampling
-_ZT_REJECTION_CAP = 1_000_000
 
 
 class Flavor(Enum):
@@ -162,59 +159,47 @@ def hnb_pmf(y, params: CountParams):
     return float(out) if np.isscalar(y) or arr.ndim == 0 else out
 
 
-def _sample_nb(rng: np.random.Generator, mu, r, size=None):
+def _sample_nb(rng: np.random.Generator, mu, r):
     """NB draws; mu may be scalar or per-draw vector."""
     mu = np.asarray(mu, dtype=float)
-    p = r / (r + mu)
-    return rng.negative_binomial(r, p, size=size if size is not None else mu.shape)
+    return rng.negative_binomial(r, r / (r + mu), size=mu.shape)
 
 
-def _sample_zero_truncated_nb(rng: np.random.Generator, mu, r, size=None):
-    """Zero-truncated NB draws by rejection, inverse CDF as fallback.
+def _sample_zero_truncated_nb(rng: np.random.Generator, mu, r):
+    """Zero-truncated NB draws: one inverse CDF on the survival side.
 
-    Rejection redraws zero outcomes; after `_ZT_REJECTION_CAP` total
-    rejections the remaining entries are sampled through the NB quantile
-    function restricted to (NB(0), 1].
+    Each entry takes one uniform v on (0, 1 - NB(0)] and returns
+    ``nbinom.isf(v)``, the least k with NB survival P(X > k) <= v. So a
+    draw is >= k with probability P(X >= k) / (1 - NB(0)) for every
+    k >= 1, which is the zero-truncated law. Working in the upper tail
+    keeps 1 - NB(0) to full relative precision as NB(0) -> 1, and the cost
+    is one quantile per draw at any r. A uniform of exactly 0 gives
+    v = 1 - NB(0) and k = 0, which is clamped to 1; a draw beyond int64
+    raises :class:`CountOverflowError`.
     """
-    mu = np.broadcast_to(np.asarray(mu, dtype=float), size if size is not None else np.shape(mu)).copy()
-    log_nb0 = _log_nb_zero(mu, r)
-    if np.any(-np.expm1(log_nb0) <= 0.0):
-        raise DegenerateTruncationError("1 - NB(0) underflowed; truncated NB undefined")
-    y = _sample_nb(rng, mu, r)
-    rejected = 0
-    while True:
-        mask = y == 0
-        n_bad = int(mask.sum())
-        if n_bad == 0:
-            return y
-        if rejected + n_bad > _ZT_REJECTION_CAP:
-            break
-        y[mask] = _sample_nb(rng, mu[mask], r)
-        rejected += n_bad
-    # inverse-CDF fallback: u uniform on (NB(0), 1]
-    mask = y == 0
-    nb0 = np.exp(log_nb0[mask])
-    u = nb0 + (1.0 - nb0) * rng.random(int(mask.sum()))
-    q = nbinom.ppf(u, r, r / (r + mu[mask]))
-    y[mask] = np.maximum(q, 1).astype(y.dtype)
-    return y
-
-
-def _sample_zinb(rng: np.random.Generator, mu, r, pi, size=None):
     mu = np.asarray(mu, dtype=float)
-    shape = size if size is not None else mu.shape
-    y = _sample_nb(rng, np.broadcast_to(mu, shape), r)
+    p_pos = -np.expm1(_log_nb_zero(mu, r))
+    if np.any(p_pos <= 0.0):
+        raise DegenerateTruncationError("1 - NB(0) underflowed; truncated NB undefined")
+    y = nbinom.isf(p_pos * (1.0 - rng.random(mu.shape)), r, r / (r + mu))
+    if not np.all(y < 2.0**63):
+        raise CountOverflowError(f"zero-truncated NB draw {np.max(y):.3g} exceeds int64 (r={r})")
+    return np.maximum(y, 1).astype(np.int64)
+
+
+def _sample_zinb(rng: np.random.Generator, mu, r, pi):
+    mu = np.asarray(mu, dtype=float)
+    y = _sample_nb(rng, mu, r)
     if np.any(np.asarray(pi) > 0):
-        extra = rng.random(shape) < pi
-        y = np.where(extra, 0, y)
+        y = np.where(rng.random(mu.shape) < pi, 0, y)
     return y
 
-def _sample_hnb(rng: np.random.Generator, mu, r, pi, size=None):
-    mu = np.broadcast_to(np.asarray(mu, dtype=float), size if size is not None else np.shape(mu))
-    shape = mu.shape
-    at_zero = rng.random(shape) < pi
-    y = np.zeros(shape, dtype=np.int64)
-    if np.any(~at_zero):
+
+def _sample_hnb(rng: np.random.Generator, mu, r, pi):
+    mu = np.asarray(mu, dtype=float)
+    at_zero = rng.random(mu.shape) < pi
+    y = np.zeros(mu.shape, dtype=np.int64)
+    if not at_zero.all():
         y[~at_zero] = _sample_zero_truncated_nb(rng, mu[~at_zero], r)
     return y
 

@@ -13,6 +13,10 @@ class DegenerateTruncationError(ZicountError, ValueError):
     """The zero-truncated NB is undefined because 1 - NB(0) underflowed to 0."""
 
 
+class CountOverflowError(ZicountError, OverflowError):
+    """A sampled count does not fit in int64."""
+
+
 class IllConditionedDesignError(ZicountError, ValueError):
     """A linear predictor overflowed exp(); the design/coefficients are unusable."""
 

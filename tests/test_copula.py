@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtri
-from scipy.stats import spearmanr
+from scipy.stats import qmc, spearmanr
 
 from zicount import (
     bridge_tt,
@@ -277,6 +277,15 @@ class TestBridge:
     def test_rejects_unit_correlation(self):
         with pytest.raises(InvalidCorrelationError):
             bridge_tt(1.0, 0.0, 0.0)
+
+    def test_sobol_stream_is_built_once_and_read_only(self):
+        first, second = _sobol_points(1024), _sobol_points(1024)
+        assert first is second
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0, 0] = 0.5
+        fresh = qmc.Sobol(3, scramble=True, seed=copula._QMC_SEED).random(1024)
+        np.testing.assert_array_equal(first, fresh)
 
 
 class TestInvertBridge:

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from scipy.stats import nbinom
 
 from zicount import CountParams, Flavor, hnb_pmf, nb_log_pmf, nb_pmf, sample_count, zinb_pmf
-from zicount.counts import _nb_logpmf
-from zicount.exceptions import DegenerateTruncationError, InvalidParameterError
+from zicount.counts import _nb_logpmf, _sample_zero_truncated_nb
+from zicount.exceptions import DegenerateTruncationError, InvalidParameterError, ZicountError
 
 mpmath.mp.dps = 50
 
@@ -176,6 +176,60 @@ def test_normalization_property(mu, r, pi, flavor):
             break
         upper *= 4
     assert total >= 1.0 - 1e-8
+
+
+class StubGenerator:
+    """Stands in for ``np.random.Generator``: every uniform it returns is
+    ``value``."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def random(self, shape):
+        return np.full(shape, self.value)
+
+
+def assert_positive_frequencies(y, pmf):
+    """Sampled frequencies of k = 1..len(pmf) within 5 standard errors of
+    ``pmf``."""
+    ks = np.arange(1, len(pmf) + 1)
+    freq = (y[:, None] == ks).mean(axis=0)
+    se = np.sqrt(pmf * (1.0 - pmf) / len(y))
+    assert np.all(np.abs(freq - pmf) <= 5.0 * se), (freq, pmf)
+
+
+class TestZeroTruncatedSampler:
+    @given(log_r=st.floats(-15.0, 3.0), mu=st.floats(0.05, 300.0))
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_frequencies_match_hnb_pmf(self, log_r, mu):
+        params = CountParams(mu=mu, r=math.exp(log_r), pi=0.0, flavor=Flavor.HNB)
+        y = sample_count(4000, params, seed=5)
+        assert y.min() >= 1
+        assert_positive_frequencies(y, hnb_pmf(np.arange(1, 9), params))
+
+    @pytest.mark.parametrize("mu", [0.5, 3.0, 30.0, 300.0])
+    def test_tiny_r_matches_logarithmic_series(self, mu):
+        # as r -> 0 the zero-truncated NB tends to the logarithmic series
+        # -p^k / (k log(1 - p)) with p = mu / (mu + r)
+        r = math.exp(-15.0)
+        p = mu / (mu + r)
+        ks = np.arange(1, 11)
+        pmf = -(p**ks) / (ks * math.log(r / (mu + r)))
+        y = sample_count(20_000, CountParams(mu=mu, r=r, pi=0.0, flavor=Flavor.HNB), seed=6)
+        assert_positive_frequencies(y, pmf)
+
+    def test_zero_uniform_gives_one(self):
+        y = _sample_zero_truncated_nb(StubGenerator(0.0), np.array([0.05, 3.0, 300.0]), 0.5)
+        assert y.tolist() == [1, 1, 1]
+
+    def test_draw_beyond_int64_is_typed_error(self):
+        # mu = e^30 and r = e^-15 are inside the fit's clips; the upper tail
+        # passes 2^63 in about 2% of draws
+        params = CountParams(mu=math.exp(30.0), r=math.exp(-15.0), pi=0.0, flavor=Flavor.HNB)
+        with pytest.raises(ZicountError, match="int64"):
+            sample_count(1000, params, seed=0)
+        with pytest.raises(ZicountError, match="int64"):
+            _sample_zero_truncated_nb(StubGenerator(1.0 - 2.0**-53), np.array([params.mu]), params.r)
 
 
 class TestSampleCount:
