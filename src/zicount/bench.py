@@ -203,6 +203,13 @@ class Experiment(Enum):
     REAL_DATA = "real-data"
 
 
+# Part of every config fingerprint. Raise it when an estimator gives other
+# numbers for an unchanged config, so that a completed results directory
+# written before is recomputed instead of reused. 1: fit_tlnpn takes most
+# roots from the packaged bridge table.
+ESTIMATOR_REVISION = 1
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment: a grid, a replication budget, and run options."""
@@ -264,6 +271,7 @@ class ExperimentConfig:
             "n": self.n,
             "qmc_points": self.qmc_points,
             "collect_extras": self.collect_extras,
+            "estimator_revision": ESTIMATOR_REVISION,
         }
         return payload
 

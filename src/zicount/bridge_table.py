@@ -1,5 +1,6 @@
-"""Tabulated truncated/truncated (TT) Kendall's-tau bridge, used to seed
-the batched bridge inversion of :mod:`zicount.copula`.
+"""Tabulated truncated/truncated (TT) Kendall's-tau bridge: the source of
+most latent correlations that :func:`zicount.copula.fit_tlnpn` fits, and
+the start of every other bridge root.
 
 The table holds bridge_TT(sigma, dj, dk) on a grid: the truncation levels
 ``DELTA_NODES`` (-4 to 4 in steps of 0.25) for both variables, and the
@@ -12,8 +13,15 @@ symmetric in (dj, dk). It is stored next to this module
 as a float64 ``.npy`` array of shape (delta, delta, sigma) and read on
 first use. Regenerate it with ``python scripts/make_bridge_table.py``.
 
-The table only shortens the root search: every root is still finished on
-the fit's own stream, so its accuracy never reaches a fitted sigma.
+:func:`seed_roots` interpolates a pair's sigma line cubically in (dj, dk)
+and solves the cubic in theta around tau. A fit takes that root as its
+sigma when both levels lie on the grid and the root is at most
+``ROOT_SIGMA_MAX``, as latentcor does with its interpolated bridges (Yoon,
+Mueller & Gaynanova 2021). There the table's tau is within about 7e-4 of
+the kernel's on the ``POINTS`` stream, far below the sampling error of a
+Kendall's tau. Every other pair is solved by ``copula._invert_bridge_batch``,
+which starts from the same lookup and finishes the root on the fit's own
+stream.
 """
 
 import functools
@@ -21,7 +29,7 @@ from importlib import resources
 
 import numpy as np
 
-__all__ = ["DELTA_NODES", "SIGMA_NODES", "POINTS", "TABLE_FILE", "tabulate", "load_table", "save_table", "seed_roots"]
+__all__ = ["DELTA_NODES", "SIGMA_NODES", "POINTS", "TABLE_FILE", "ROOT_SIGMA_MAX", "tabulate", "load_table", "save_table", "seed_roots"]
 
 TABLE_FILE = "bridge_tt_table.npy"
 POINTS = 16384
@@ -30,6 +38,11 @@ DELTA_NODES = DELTA_STEP * np.arange(-16, 17)
 _THETA_STEP = np.pi / 32
 _SIGMA_EDGE = 0.9999  # the clamp bracket of the inversion
 SIGMA_NODES = _SIGMA_EDGE * np.sin(_THETA_STEP * np.arange(-16, 17))
+_LOOKUP_CHUNK = 256  # pairs per block of seed_roots
+# The largest sigma that a fit takes from the table. Closer to +1 the bridge
+# bends too sharply in the levels for a bicubic on this grid: above it the
+# table's tau was off by up to 3.5e-3, below it by at most 7e-4.
+ROOT_SIGMA_MAX = SIGMA_NODES[-4]
 TABLE_SHAPE = (DELTA_NODES.size, DELTA_NODES.size, SIGMA_NODES.size)
 
 
@@ -74,25 +87,38 @@ def _cubic_stencil(x, n):
 
 
 def seed_roots(tau, dj, dk):
-    """Starting latent correlation and bridge slope d tau / d sigma for
-    each pair, from the table.
+    """Latent correlation and bridge slope d tau / d sigma for each pair,
+    from the table.
 
     The sigma line of each pair is interpolated cubically in (dj, dk),
     each clamped to the grid, and inverted by :func:`_invert_lines`.
+    Pairs go in blocks of ``_LOOKUP_CHUNK``, which bounds the gathered
+    (block, 4, 4, sigma) patch of table values to about 1 MB.
     Returns ``(sigma0, slope, seeded)``; ``seeded`` is False where no
-    start is given.
+    root is given.
     """
-    table = load_table()
-    first_j, wj = _cubic_stencil((np.asarray(dj, dtype=float) - DELTA_NODES[0]) / DELTA_STEP, DELTA_NODES.size)
-    first_k, wk = _cubic_stencil((np.asarray(dk, dtype=float) - DELTA_NODES[0]) / DELTA_STEP, DELTA_NODES.size)
-    patch = table[(first_j[:, None] + np.arange(4))[:, :, None], (first_k[:, None] + np.arange(4))[:, None, :]]
-    return _invert_lines(np.einsum("pa,pb,pabs->ps", wj, wk, patch), np.asarray(tau, dtype=float))
+    tau, dj, dk = (np.asarray(x, dtype=float) for x in (tau, dj, dk))
+    out = np.empty(tau.shape[0]), np.empty(tau.shape[0]), np.empty(tau.shape[0], dtype=bool)
+    for start in range(0, tau.shape[0], _LOOKUP_CHUNK):
+        sl = slice(start, start + _LOOKUP_CHUNK)
+        for column, values in zip(out, _invert_lines(_lines(dj[sl], dk[sl]), tau[sl])):
+            column[sl] = values
+    return out
+
+
+def _lines(dj, dk):
+    """The table's sigma line at each pair's (dj, dk): bicubic in the two
+    levels, each clamped to the grid."""
+    first_j, wj = _cubic_stencil((dj - DELTA_NODES[0]) / DELTA_STEP, DELTA_NODES.size)
+    first_k, wk = _cubic_stencil((dk - DELTA_NODES[0]) / DELTA_STEP, DELTA_NODES.size)
+    patch = load_table()[(first_j[:, None] + np.arange(4))[:, :, None], (first_k[:, None] + np.arange(4))[:, None, :]]
+    return np.einsum("pa,pb,pabs->ps", wj, wk, patch)
 
 
 def _invert_lines(lines, tau):
     """Solve each row of ``lines`` (bridge values at ``SIGMA_NODES``) for
     ``tau`` with the cubic through the four nodes around it, in theta.
-    No start is given where tau is not inside the line's inner nodes
+    No root is given where tau is not inside the line's inner nodes
     (within one sigma interval of the edge value or beyond), or where the
     local cubic does not increase."""
     n = SIGMA_NODES.size

@@ -11,8 +11,10 @@ separation-of-variables reduction to a 3-d integral over the unit cube,
 evaluated by randomized quasi-Monte Carlo with a fixed internal seed, so
 every function here is deterministic. :func:`phi4` is the generic 4-d
 CDF; the bridge has one closed-form kernel (:func:`_tt_bridge`) and one
-root finder (:func:`_invert_bridge_batch`), which :func:`bridge_tt`,
-:func:`invert_bridge` and :func:`fit_tlnpn` all call.
+root finder (:func:`_invert_bridge_batch`). :func:`bridge_tt` and
+:func:`invert_bridge` evaluate and invert one pair exactly;
+:func:`fit_tlnpn` reads most roots off the packaged bridge table
+(:mod:`zicount.bridge_table`) and sends the rest to the root finder.
 """
 
 import functools
@@ -333,7 +335,8 @@ def _bridge_batch(sig, dj, dk, n_points: int) -> np.ndarray:
 def _invert_bridge_batch(tau, dj, dk, n_points: int) -> np.ndarray:
     """Latent correlations whose bridge values on one shared stream of
     ``n_points`` Sobol points equal ``tau``: the one bridge root finder,
-    behind both :func:`invert_bridge` and :func:`fit_tlnpn`.
+    behind :func:`invert_bridge` and the pairs of :func:`fit_tlnpn` that
+    the table does not root (:func:`_bridge_roots`).
 
     Each pair starts from the packaged bridge table
     (:func:`_seeded_brackets`). A pair whose tau lies within one table
@@ -473,15 +476,14 @@ def nearest_correlation(m, eig_floor: float = 1e-8) -> np.ndarray:
 def fit_tlnpn(data, *, qmc_points: int = 4096) -> LatentCopulaModel:
     """Fit the truncated latent Gaussian copula to an n x p count matrix.
 
-    Pairwise bridge inversion of the Kendall's tau matrix, projection to
-    the nearest positive-definite correlation, and storage of the
-    empirical marginals. The p(p-1)/2 inversions share one scrambled Sobol
-    stream of ``qmc_points`` points and are solved to a bracket of 1e-6 by
-    :func:`_invert_bridge_batch`, which starts each root from the
-    packaged bridge table and takes about 3 kernel evaluations per pair;
-    pairs whose tau lies beyond the bridge range are clamped to +-0.9999
-    with one ``ClampedCorrelationWarning``. ``qmc_points`` sets the stream
-    that defines every root; the table only shortens the search.
+    Pairwise bridge inversion of the Kendall's tau matrix
+    (:func:`_bridge_roots`), projection to the nearest positive-definite
+    correlation, and storage of the empirical marginals. Most roots are
+    read off the packaged bridge table; ``qmc_points`` sets the Sobol
+    stream of the pairs the table does not cover, which are solved to a
+    bracket of 1e-6 by :func:`_invert_bridge_batch`. Pairs whose tau lies
+    beyond the bridge range are clamped to +-0.9999 with one
+    ``ClampedCorrelationWarning``.
     """
     Y = np.asarray(data, dtype=float)
     if Y.ndim != 2:
@@ -493,7 +495,7 @@ def fit_tlnpn(data, *, qmc_points: int = 4096) -> LatentCopulaModel:
     delta = zero_truncation_levels(Y)
 
     ju, ku = np.triu_indices(p, k=1)
-    sig_flat = _invert_bridge_batch(tau[ju, ku], delta[ju], delta[ku], n_points=qmc_points)
+    sig_flat = _bridge_roots(tau[ju, ku], delta[ju], delta[ku], qmc_points)
     sigma = np.eye(p)
     sigma[ju, ku] = sig_flat
     sigma[ku, ju] = sig_flat
@@ -501,6 +503,30 @@ def fit_tlnpn(data, *, qmc_points: int = 4096) -> LatentCopulaModel:
 
     marginals = tuple(np.sort(Y[:, j]) for j in range(p))
     return LatentCopulaModel(sigma_hat=sigma, delta_hat=delta, marginals=marginals)
+
+
+def _bridge_roots(tau, dj, dk, n_points: int) -> np.ndarray:
+    """Latent correlation of every pair, from the table where it holds one.
+
+    A pair whose levels both lie on the table's grid (|delta| <= 4) and
+    whose tau the table inverts (:func:`bridge_table.seed_roots`) to at
+    most ``bridge_table.ROOT_SIGMA_MAX`` takes the table's root, as
+    latentcor does with its interpolated bridges (Yoon, Mueller &
+    Gaynanova 2021); its interpolation error is well below the sampling
+    error of tau. tau = 0 gives sigma = 0 exactly. The remaining pairs
+    (levels off the grid, tau within one table interval of the bridge's
+    edge value or beyond it, a local cubic that does not increase, a
+    root above ``ROOT_SIGMA_MAX``) are solved by
+    :func:`_invert_bridge_batch` on the stream of ``n_points`` points,
+    which clamps and warns.
+    """
+    sigma0, _, seeded = bridge_table.seed_roots(tau, dj, dk)
+    edge = bridge_table.DELTA_NODES[-1]
+    table = seeded & (tau != 0.0) & (np.abs(dj) <= edge) & (np.abs(dk) <= edge) & (sigma0 <= bridge_table.ROOT_SIGMA_MAX)
+    out = np.where(table, sigma0, 0.0)
+    exact = np.flatnonzero(~table & (tau != 0.0))
+    out[exact] = _invert_bridge_batch(tau[exact], dj[exact], dk[exact], n_points)
+    return out
 
 
 def _empirical_quantile(sorted_values: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -166,7 +166,13 @@ class HurdleModel:
 
 
 class TlnpnModel:
-    """Truncated latent Gaussian copula model (covariate-free)."""
+    """Truncated latent Gaussian copula model (covariate-free).
+
+    ``qmc_points`` is the Sobol stream of the bridge roots that
+    :func:`fit_tlnpn` cannot read off the packaged table (levels off its
+    grid, tau near or beyond the bridge's range, sigma above 0.9568); it
+    does not change the other roots.
+    """
 
     def __init__(self, qmc_points: int = 4096):
         self.qmc_points = qmc_points

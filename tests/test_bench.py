@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 
@@ -258,6 +259,23 @@ class TestRunExperiment:
         forced = ExperimentConfig(**{**config.__dict__, "force": True})
         run_experiment(forced)
         assert (out / "aic.csv").stat().st_mtime_ns != stamp
+
+    def test_results_of_an_earlier_estimator_revision_are_recomputed(self, tmp_path):
+        # a completed TLNPN directory written before the revision entered the
+        # fingerprint carries the hash of the same payload without it
+        counts = tmp_path / "counts.csv"
+        rows = np.random.default_rng(0).poisson(1.0, (40, 3))
+        counts.write_text("a,b,c\n" + "\n".join(",".join(map(str, row)) for row in rows) + "\n")
+        config = tiny_config(Experiment.REAL_DATA, tmp_path / "res", counts)
+        earlier = {k: v for k, v in config.canonical().items() if k != "estimator_revision"}
+        stale = hashlib.sha256(json.dumps(earlier, sort_keys=True).encode()).hexdigest()
+        out = tmp_path / "res"
+        out.mkdir()
+        (out / "manifest.json").write_text(json.dumps({"config_hash": stale, "complete": True}))
+        run_experiment(config)
+        tables = read_results(out)
+        assert tables["manifest"]["config_hash"] == config.fingerprint() != stale
+        assert {r["model"] for r in tables["distances"]} == {"hnb", "tlnpn"}
 
     def test_identical_config_gives_byte_identical_tables(self, tmp_path):
         a = run_experiment(deflation_config(tmp_path, out=str(tmp_path / "a")))

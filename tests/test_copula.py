@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -19,6 +20,7 @@ from zicount import (
 )
 import zicount.copula as copula
 from zicount import bridge_table
+from zicount.bench import make_qmp_standin
 from zicount.copula import _bridge_batch, _invert_bridge_batch, _sigma4_pair, _sobol_points
 from zicount.exceptions import (
     ClampedCorrelationWarning,
@@ -476,6 +478,43 @@ class TestSeededInversion:
         check = inside & seeded & ~clamp & (slope >= 0.05)
         assert np.all(np.abs(sigma0 - want)[check] <= 2e-3)
 
+    # Measured on 15000 random pairs over this range (sigma uniform in
+    # theta or in sigma, half of the pairs with |dj - dk| < 0.3): the
+    # table-rooted tau was off by at most 7.0e-4 (99th percentile at most
+    # 3.2e-4), and where the slope was at least 0.05, sigma by at most
+    # 2.8e-3 (99th percentile at most 5.8e-4).
+    TAU_BOUND = 1e-3
+    SIGMA_BOUND = 4e-3
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        st.lists(
+            st.tuples(st.floats(-0.9999, 0.9999), st.floats(-4.0, 4.0), st.floats(-4.0, 4.0)),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    def test_table_roots_over_the_whole_grid(self, cases):
+        # Every level of the grid: above about 1.7 the bridge at negative
+        # sigma is flat, so sigma is checked only where the slope is at
+        # least 0.05 and tau everywhere, on the table's own stream.
+        sig, dj, dk = (np.array(v, dtype=float) for v in zip(*cases))
+        n = bridge_table.POINTS
+        tau = _bridge_batch(sig, dj, dk, n)
+        sigma0, _, seeded = bridge_table.seed_roots(tau, dj, dk)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ClampedCorrelationWarning)
+            got = copula._bridge_roots(tau, dj, dk, self.N_POINTS)
+            exact = _invert_bridge_batch(tau, dj, dk, n)
+        rooted = seeded & (tau != 0.0) & (sigma0 <= bridge_table.ROOT_SIGMA_MAX)
+        assert np.array_equal(got[rooted], sigma0[rooted])
+        assert np.all(np.abs(_bridge_batch(got, dj, dk, n) - tau)[rooted] <= self.TAU_BOUND)
+        h = 1e-3
+        up, down = np.minimum(exact + h, 0.9999), np.maximum(exact - h, -0.9999)
+        slope = (_bridge_batch(up, dj, dk, n) - _bridge_batch(down, dj, dk, n)) / (up - down)
+        check = rooted & (slope >= 0.05)
+        assert np.all(np.abs(got - exact)[check] <= self.SIGMA_BOUND)
+
 
 class TestNearestCorrelation:
     def test_pd_input_unchanged(self):
@@ -548,6 +587,79 @@ class TestFitTlnpn:
             fit_tlnpn(np.ones((5, 2)))
         with pytest.raises(ValueError):
             fit_tlnpn(np.ones((50, 1)))
+
+    @pytest.fixture
+    def exact_pairs(self, monkeypatch):
+        """The (tau, dj, dk) rows that reach the exact root finder."""
+        calls = []
+        finder = copula._invert_bridge_batch
+
+        def spy(tau, dj, dk, n_points):
+            calls.append(np.column_stack([tau, dj, dk]))
+            return finder(tau, dj, dk, n_points)
+
+        monkeypatch.setattr(copula, "_invert_bridge_batch", spy)
+        return lambda: np.concatenate(calls) if calls else np.empty((0, 3))
+
+    def test_only_pairs_the_table_does_not_cover_take_the_exact_path(self, exact_pairs):
+        n = bridge_table.POINTS
+        on_table = _bridge_batch([0.4, -0.3], [0.3, -2.0], [-0.6, 1.1], n)
+        cases = [
+            (on_table[0], 0.3, -0.6),
+            (on_table[1], -2.0, 1.1),
+            (_bridge_batch([0.4], [-4.5], [0.2], n)[0], -4.5, 0.2),  # a level off the grid
+            (_bridge_batch([0.998], [0.0], [0.5], n)[0], 0.0, 0.5),  # tau in the last table interval
+            (0.999, 1.5, 1.5),  # beyond the bridge range: clamped
+            (bridge_table.load_table()[1, 32, 1], -3.75, 4.0),  # the local cubic does not increase
+            (_bridge_batch([0.97], [0.0], [0.5], n)[0], 0.0, 0.5),  # above ROOT_SIGMA_MAX
+            (0.0, 0.3, -0.6),
+            (0.0, -5.0, 0.2),
+        ]
+        tau, dj, dk = (np.array(v) for v in zip(*cases))
+        sigma0, _, seeded = bridge_table.seed_roots(tau, dj, dk)
+        assert list(seeded[[2, 5]]) == [True, False]  # the off-grid level is seeded, the cubic is not
+        with pytest.warns(ClampedCorrelationWarning, match=r"^1 pair\(s\)"):
+            sigma = copula._bridge_roots(tau, dj, dk, 1024)
+        assert np.array_equal(exact_pairs(), np.column_stack([tau, dj, dk])[2:7])
+        assert np.array_equal(sigma[:2], sigma0[:2])
+        assert sigma[4] == 0.9999 and np.all(sigma[7:] == 0.0)
+
+    def test_zero_tau_gives_exactly_zero(self, exact_pairs):
+        # a palindromic column against an increasing one has tau = 0 exactly
+        data = np.column_stack([np.arange(1.0, 13.0), [0.0, 1, 2, 3, 0, 5, 5, 0, 3, 2, 1, 0]])
+        assert kendall_tau_matrix(data).tau[0, 1] == 0.0
+        model = fit_tlnpn(data)
+        assert model.sigma_hat[0, 1] == 0.0 and model.sigma_hat[1, 0] == 0.0
+        assert exact_pairs().shape == (0, 3)
+
+    def test_clamped_pairs_warn_once(self):
+        col = np.where(np.arange(60) % 3 == 0, 0.0, np.arange(60.0))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            fit_tlnpn(np.column_stack([col, col, col]))
+        clamped = [w for w in caught if issubclass(w.category, ClampedCorrelationWarning)]
+        assert len(clamped) == 1 and str(clamped[0].message).startswith("3 pair(s)")
+
+    def test_standin_fit_takes_every_root_from_the_table(self, exact_pairs):
+        model = fit_tlnpn(make_qmp_standin().values)
+        assert model.sigma_hat.shape == (101, 101)
+        assert exact_pairs().shape == (0, 3)
+
+    def test_table_lookup_memory_is_bounded(self):
+        # the stand-in's 5050 pairs; looked up in one block, the gathered
+        # (pairs, 4, 4, 33) patch of table values alone takes 21 MB
+        data = make_qmp_standin().values
+        tau, delta = kendall_tau_matrix(data).tau, zero_truncation_levels(data)
+        ju, ku = np.triu_indices(data.shape[1], k=1)
+        pairs = tau[ju, ku], delta[ju], delta[ku]
+        bridge_table.load_table()
+        tracemalloc.start()
+        try:
+            copula._bridge_roots(*pairs, 1024)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 @pytest.fixture(scope="module")
