@@ -10,6 +10,7 @@ import csv
 import hashlib
 import itertools
 import json
+import operator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
@@ -232,10 +233,8 @@ class ExperimentConfig:
     force: bool = False
 
     def __post_init__(self):
-        if self.replications < 1:
-            raise ValueError("replications must be >= 1")
-        if self.order not in (1, 2):
-            raise ValueError("order must be 1 or 2")
+        for key, coerce, valid in _SCALARS:
+            object.__setattr__(self, key, _checked(key, coerce, valid, getattr(self, key), "config value"))
         spec = _SPECS[self.experiment]
         extra = set(self.grids) - {key for key, _, _ in spec.grid}
         if extra:
@@ -245,12 +244,7 @@ class ExperimentConfig:
             if not values:
                 raise ValueError(f"{self.experiment.value} needs a nonempty grid for {key!r}")
             for v in values:
-                try:
-                    ok = valid(coerce(v))
-                except (TypeError, ValueError):  # e.g. a JSON null or a non-numeric string
-                    ok = False
-                if not ok:
-                    raise ValueError(f"grid value {v!r} out of range for {key!r}")
+                _checked(key, coerce, valid, v, "grid value")
         if spec.needs_source and not self.dataset:
             raise ValueError(f"{self.experiment.value} needs a dataset path (or 'standin')")
         object.__setattr__(self, "grids", {k: list(v) for k, v in self.grids.items()})
@@ -279,6 +273,38 @@ class ExperimentConfig:
         return hashlib.sha256(json.dumps(self.canonical(), sort_keys=True).encode()).hexdigest()
 
 
+def _checked(key, coerce, valid, value, what: str):
+    """``coerce(value)`` if ``valid`` accepts it; ValueError otherwise."""
+    try:
+        value_out = coerce(value)
+        ok = valid(value_out)
+    except (TypeError, ValueError):  # e.g. a JSON null or a non-numeric string
+        ok = False
+    if not ok:
+        raise ValueError(f"{what} {value!r} out of range for {key!r}")
+    return value_out
+
+
+def _count(value) -> int:
+    """An integer config value: a JSON string, float, bool or null is not one."""
+    if isinstance(value, bool):
+        raise TypeError("a bool is not a count")
+    return operator.index(value)
+
+
+# (key, coerce, valid) of each integer ExperimentConfig field, as for the grids
+_SCALARS = (
+    ("replications", _count, lambda v: v >= 1),
+    ("folds", _count, lambda v: v >= 2),
+    ("n_splits", _count, lambda v: v >= 1),
+    ("seed", _count, lambda v: v >= 0),
+    ("order", _count, lambda v: v in (1, 2)),
+    ("threads", _count, lambda v: v >= 1),
+    ("n", lambda v: v if v is None else _count(v), lambda v: v is None or v >= 1),
+    ("qmc_points", _count, lambda v: v >= 1),
+)
+
+
 def config_from_json(path, **overrides) -> ExperimentConfig:
     """Build a config from a flat JSON file; keyword overrides win."""
     with open(path) as fh:
@@ -303,13 +329,12 @@ def config_from_json(path, **overrides) -> ExperimentConfig:
 # cell execution (module-level functions so a process pool can pickle them)
 
 
-def _load_source(config: ExperimentConfig) -> Dataset:
-    if config.dataset == "standin":
-        data = make_qmp_standin()
-    else:
-        data = load_counts_csv(config.dataset)
-    if config.rescale_exponent is not None:
-        data = rescale_power(data, config.rescale_exponent)
+def _load_source(dataset: str, rescale_exponent: Optional[float] = None) -> Dataset:
+    """The bundled stand-in (``"standin"``) or a counts CSV, optionally
+    rescaled by :func:`rescale_power`."""
+    data = make_qmp_standin() if dataset == "standin" else load_counts_csv(dataset)
+    if rescale_exponent is not None:
+        data = rescale_power(data, rescale_exponent)
     return data
 
 
@@ -585,7 +610,7 @@ def run_experiment(config: ExperimentConfig) -> Path:
             return out
     out.mkdir(parents=True, exist_ok=True)
 
-    source = _load_source(config) if _SPECS[config.experiment].needs_source else None
+    source = _load_source(config.dataset, config.rescale_exponent) if _SPECS[config.experiment].needs_source else None
 
     cells = _cells(config, source)
     if not cells:

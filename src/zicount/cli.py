@@ -15,13 +15,13 @@ import numpy as np
 
 from .bench import (
     Experiment,
+    _load_source,
     _write_csv,
     config_from_json,
     emit_report,
     load_counts_csv,
     make_qmp_standin,
     read_results,
-    rescale_power,
     run_experiment,
 )
 from .counts import Flavor
@@ -174,10 +174,8 @@ def _scenario_config(scenario: str, params: dict) -> SettingConfig:
     }[scenario]
     marginal_source = None
     if setting is Setting.THREE:
-        src = params.get("dataset", "standin")
-        data = make_qmp_standin() if src == "standin" else load_counts_csv(src)
-        if "rescale_exponent" in params:
-            data = rescale_power(data, float(params["rescale_exponent"]))
+        exponent = params.get("rescale_exponent")
+        data = _load_source(params.get("dataset", "standin"), None if exponent is None else float(exponent))
         marginal_source = data.values
     return SettingConfig(
         setting=setting,

@@ -5,12 +5,17 @@ the exact optimum of a linear assignment problem (Euclidean ground
 metric). Model comparison uses the arithmetic mean change (AMC) of the
 hurdle-model distance against the copula-model distance: negative values
 mean the copula model fit better.
+
+k-fold CV (one split of k folds) and repeated random splits (one held-out
+fold per split) share one fit/score loop and one AMC rule: for each split
+and hurdle model, the AMC compares the mean distances of that model and
+of the copula model over the folds of the split where both fitted. A
+split where they share no fold adds no value; a pair with no value has
+no AMC key.
 """
 
-import hashlib
-import json
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -20,7 +25,7 @@ from scipy.special import expit
 from .copula import LatentCopulaModel, fit_tlnpn, sample_tlnpn
 from .counts import Flavor, _sample_hnb
 from .exceptions import ShapeError, UndefinedComparisonError, ZicountError
-from .fitting import FitOptions, fit_intercept_only, fit_regression
+from .fitting import fit_intercept_only, fit_regression
 
 __all__ = [
     "wasserstein_1d",
@@ -133,9 +138,8 @@ class HurdleModel:
     """Per-column hurdle-NB model; optionally regressed on one covariate
     per column (column j of the covariate matrix)."""
 
-    def __init__(self, use_covariates: bool = False, options: Optional[FitOptions] = None):
+    def __init__(self, use_covariates: bool = False):
         self.use_covariates = use_covariates
-        self.options = options or FitOptions()
 
     @property
     def name(self) -> str:
@@ -156,12 +160,11 @@ class HurdleModel:
                     np.column_stack([np.ones(len(Y)), np.asarray(X)[:, j]]),
                     None,
                     Flavor.HNB,
-                    self.options,
                 )
                 for j in range(Y.shape[1])
             )
         else:
-            fits = tuple(fit_intercept_only(Y[:, j], Flavor.HNB, self.options) for j in range(Y.shape[1]))
+            fits = tuple(fit_intercept_only(Y[:, j], Flavor.HNB) for j in range(Y.shape[1]))
         return _FittedHurdle(fits=fits, use_covariates=self.use_covariates)
 
 
@@ -222,13 +225,10 @@ class EvalRecord:
 
 @dataclass(frozen=True)
 class EvalReport:
-    """Per-fold distances, per-pair AMC values, and run fingerprints."""
+    """Per-(split, fold, model) records and the per-pair AMC values."""
 
     records: tuple
     amc: dict
-    order: int
-    seed: int
-    fingerprint: str
 
     def __post_init__(self):
         for rec in self.records:
@@ -239,25 +239,16 @@ class EvalReport:
                 if not -2.0 <= v <= 2.0:
                     raise ValueError("AMC must lie in [-2, 2]")
 
-    def distances(self, model: str) -> np.ndarray:
-        return np.asarray([r.distance for r in self.records if r.model == model and not r.failed])
 
-    def mean_distance(self, model: str) -> float:
-        return float(self.distances(model).mean())
-
-    def amc_values(self, pair: str) -> np.ndarray:
-        return np.asarray(self.amc[pair])
-
-
-def _fingerprint(payload: dict) -> str:
-    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
-
-
-def _model_names(models) -> list:
+def _checked_models(models, order) -> list:
+    """The models to evaluate (hnb and tlnpn by default); tags must be unique."""
+    _check_order(order)
+    if models is None:
+        models = [HurdleModel(False), TlnpnModel()]
     names = [m.name for m in models]
     if len(set(names)) != len(names):
         raise ValueError("duplicate model tags")
-    return names
+    return models
 
 
 def _corr_gap(test: np.ndarray, sim: np.ndarray) -> float:
@@ -273,10 +264,11 @@ def _corr_gap(test: np.ndarray, sim: np.ndarray) -> float:
     return float(gap.mean())
 
 
-def _evaluate_fold(models, Y_train, Y_test, X_train, X_test, split, fold, seed_seq, order, collect_extras):
-    """Fit every model on the training block and score it on the test block."""
+def _evaluate_fold(models, Y, X, train_idx, test_idx, split, fold, seed_seq, order, collect_extras):
+    """Fit every model on the training rows and score it on the test rows."""
+    Y_train, Y_test = Y[train_idx], Y[test_idx]
+    X_train, X_test = (None, None) if X is None else (X[train_idx], X[test_idx])
     records = []
-    distances = {}
     n_test = len(Y_test)
     seeds = seed_seq.spawn(len(models))
     for model, sim_seed in zip(models, seeds):
@@ -294,21 +286,39 @@ def _evaluate_fold(models, Y_train, Y_test, X_train, X_test, split, fold, seed_s
             records.append(
                 EvalRecord(split=split, fold=fold, model=model.name, distance=dist, marginal=marginal, **extras)
             )
-            distances[model.name] = dist
         except (ZicountError, np.linalg.LinAlgError) as exc:
             records.append(
                 EvalRecord(
                     split=split, fold=fold, model=model.name, distance=float("nan"), failed=True, error=str(exc)
                 )
             )
-    return records, distances
+    return records
 
 
-def _amc_pairs(model_names: Sequence[str]):
-    """Every non-copula model is compared against the copula model."""
-    if "tlnpn" not in model_names:
-        return []
-    return [(name, f"{name}_vs_tlnpn") for name in model_names if name != "tlnpn"]
+def _cross_validate(Y, X, models, splits, order, collect_extras) -> EvalReport:
+    """The fit/score loop of both protocols, with the module's AMC rule.
+
+    ``splits`` yields ``(split, fold, train_idx, test_idx, seed_seq)``;
+    the models' simulation seeds are spawned from ``seed_seq``.
+    """
+    records = []
+    distances = {}  # split -> model name -> {fold: distance}
+    for split, fold, train_idx, test_idx, seed_seq in splits:
+        recs = _evaluate_fold(models, Y, X, train_idx, test_idx, split, fold, seed_seq, order, collect_extras)
+        records.extend(recs)
+        for rec in recs:
+            if not rec.failed:
+                distances.setdefault(split, {}).setdefault(rec.model, {})[fold] = rec.distance
+
+    amc_out = {}
+    for name in [m.name for m in models if m.name != "tlnpn"]:
+        for by_model in distances.values():
+            h, t = by_model.get(name, {}), by_model.get("tlnpn", {})
+            common = sorted(set(h) & set(t))
+            if common:
+                value = amc(float(np.mean([h[f] for f in common])), float(np.mean([t[f] for f in common])))
+                amc_out.setdefault(f"{name}_vs_tlnpn", []).append(value)
+    return EvalReport(records=tuple(records), amc=amc_out)
 
 
 def _kfold_indices(n: int, k: int, seed: int):
@@ -318,81 +328,44 @@ def _kfold_indices(n: int, k: int, seed: int):
     return perm, np.array_split(perm, k)
 
 
-def kfold_cv(data, covariates=None, k: int = 5, models=None, sim_n: Optional[int] = None, seed: int = 0, order: int = 1, collect_extras: bool = False) -> EvalReport:
+def kfold_cv(data, covariates=None, k: int = 5, models=None, seed: int = 0, order: int = 1, collect_extras: bool = False) -> EvalReport:
     """k-fold cross-validated prediction error for each model.
 
     Each fold: fit on the remaining k-1 folds, simulate a dataset of the
     held-out fold's size (covariate-based hurdle simulation uses the test
     fold's covariates; the rest simulate unconditionally), and record the
-    Wasserstein distance to the held-out fold. AMC compares the
-    fold-averaged distances of each hurdle variant against the copula
-    model; failed fits are recorded and a fold is dropped only when every
-    model fails on it.
+    Wasserstein distance to the held-out fold. Failed fits are recorded.
+    The run is split 0, so a hurdle model has at most one AMC value: its
+    mean distance against the copula model's, both over the folds where
+    the two fitted. A pair with no such fold has no AMC key.
     """
-    _check_order(order)
+    models = _checked_models(models, order)
     Y = np.asarray(data)
-    if models is None:
-        models = [HurdleModel(False), TlnpnModel()]
-    names = _model_names(models)
     n = len(Y)
     if not 2 <= k <= n:
         raise ValueError("k must lie in [2, n]")
     if any(m.requires_covariates for m in models) and covariates is None:
         raise ValueError("a requested model needs covariates")
     X = None if covariates is None else np.asarray(covariates, dtype=float)
-
     perm, folds = _kfold_indices(n, k, seed)
-    if sim_n is not None and any(abs(len(f) - sim_n) > 1 for f in folds):
-        raise ValueError(f"sim_n={sim_n} does not match the fold sizes {[len(f) for f in folds]}")
-
-    records = []
-    per_model_folds = {name: [] for name in names}
-    for fold_idx, test_idx in enumerate(folds):
-        train_idx = np.setdiff1d(perm, test_idx, assume_unique=True)
-        fold_seq = np.random.SeedSequence([int(seed), 0xCF, 1 + fold_idx])
-        recs, dists = _evaluate_fold(
-            models,
-            Y[train_idx],
-            Y[test_idx],
-            None if X is None else X[train_idx],
-            None if X is None else X[test_idx],
-            split=0,
-            fold=fold_idx,
-            seed_seq=fold_seq,
-            order=order,
-            collect_extras=collect_extras,
-        )
-        records.extend(recs)
-        for name in names:
-            if name in dists:
-                per_model_folds[name].append((fold_idx, dists[name]))
-
-    amc_out = {}
-    for hurdle_name, key in _amc_pairs(names):
-        h = dict(per_model_folds[hurdle_name])
-        t = dict(per_model_folds["tlnpn"])
-        common = sorted(set(h) & set(t))
-        if common:
-            amc_out[key] = [amc(float(np.mean([h[f] for f in common])), float(np.mean([t[f] for f in common])))]
-
-    fingerprint = _fingerprint(
-        dict(kind="kfold", n=int(n), p=int(Y.shape[1]), k=int(k), models=names, order=order, seed=int(seed))
+    splits = (
+        (0, i, np.setdiff1d(perm, test, assume_unique=True), test, np.random.SeedSequence([int(seed), 0xCF, 1 + i]))
+        for i, test in enumerate(folds)
     )
-    return EvalReport(records=tuple(records), amc=amc_out, order=order, seed=int(seed), fingerprint=fingerprint)
+    return _cross_validate(Y, X, models, splits, order, collect_extras)
 
 
 def random_split_eval(data, folds: int, n_splits: int, models=None, seed: int = 0, order: int = 1, collect_extras: bool = False) -> EvalReport:
     """Repeated random-split validation (covariate-free protocols).
 
-    Per split: shuffle the rows, train every model on all but one fold,
-    simulate the held-out fold's size, and record joint and per-variable
-    distances; AMC is aggregated across splits.
+    Per split: shuffle the rows, train every model on all but the last
+    fold, simulate the held-out fold's size, and record joint and
+    per-variable distances. Failed fits are recorded. A split holds out
+    one fold, so a hurdle model has one AMC value per split where both it
+    and the copula model fitted. A pair with no such split has no AMC key.
     """
-    _check_order(order)
+    models = _checked_models(models, order)
     Y = np.asarray(data)
-    if models is None:
-        models = [HurdleModel(False), TlnpnModel()]
-    names = _model_names(models)
     if any(m.requires_covariates for m in models):
         raise ValueError("random-split evaluation is covariate-free")
     if n_splits < 1:
@@ -401,41 +374,11 @@ def random_split_eval(data, folds: int, n_splits: int, models=None, seed: int = 
     if not 2 <= folds <= n:
         raise ValueError("folds must lie in [2, n]")
 
-    records = []
-    amc_out = {key: [] for _, key in _amc_pairs(names)}
-    for split in range(n_splits):
-        split_seq = np.random.SeedSequence([int(seed), 0x5B, split])
-        rng = np.random.default_rng(split_seq.spawn(1)[0])
-        perm = rng.permutation(n)
-        parts = np.array_split(perm, folds)
-        test_idx, train_idx = parts[-1], np.concatenate(parts[:-1])
-        recs, dists = _evaluate_fold(
-            models,
-            Y[train_idx],
-            Y[test_idx],
-            None,
-            None,
-            split=split,
-            fold=folds - 1,
-            seed_seq=split_seq,
-            order=order,
-            collect_extras=collect_extras,
-        )
-        records.extend(recs)
-        for hurdle_name, key in _amc_pairs(names):
-            if hurdle_name in dists and "tlnpn" in dists:
-                amc_out[key].append(amc(dists[hurdle_name], dists["tlnpn"]))
+    def splits():
+        for split in range(n_splits):
+            seq = np.random.SeedSequence([int(seed), 0x5B, split])
+            # the permutation takes the first child; the models spawn theirs after it
+            parts = np.array_split(np.random.default_rng(seq.spawn(1)[0]).permutation(n), folds)
+            yield split, folds - 1, np.concatenate(parts[:-1]), parts[-1], seq
 
-    fingerprint = _fingerprint(
-        dict(
-            kind="random-split",
-            n=int(n),
-            p=int(Y.shape[1]),
-            folds=int(folds),
-            n_splits=int(n_splits),
-            models=names,
-            order=order,
-            seed=int(seed),
-        )
-    )
-    return EvalReport(records=tuple(records), amc=amc_out, order=order, seed=int(seed), fingerprint=fingerprint)
+    return _cross_validate(Y, None, models, splits(), order, collect_extras)

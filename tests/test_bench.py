@@ -378,7 +378,7 @@ class TestReportTables:
             EvalRecord(split=1, fold=0, model="tlnpn", distance=0.75),
             EvalRecord(split=1, fold=1, model="tlnpn", distance=float("nan"), failed=True, error="boom"),
         )
-        report = EvalReport(records=records, amc={"hnb_vs_tlnpn": [0.5, -0.25]}, order=1, seed=0, fingerprint="f")
+        report = EvalReport(records=records, amc={"hnb_vs_tlnpn": [0.5, -0.25]})
         tables = bench._report_tables(report, {"corr": "AR", "rho": 0.5, "replication": 2})
 
         lead = ["corr", "rho", "replication"]

@@ -145,6 +145,18 @@ class TestExperimentCommands:
         assert main(["setting-one-deflation", "--config", str(cfg_path)]) == 1
         assert "error: grid value None out of range for 'pi_h'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, value, shown",
+        [("replications", None, "None"), ("threads", "2", "'2'"), ("n", 0, "0")],
+    )
+    def test_malformed_scalar_is_error(self, tmp_path, capsys, key, value, shown):
+        cfg_path = tmp_path / "cfg.json"
+        cfg = {"experiment": "setting-one-deflation", "grids": {"pi_h": [0.3]}, "out": str(tmp_path / "res"), key: value}
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["setting-one-deflation", "--config", str(cfg_path)]) == 1
+        assert f"error: config value {shown} out of range for {key!r}" in capsys.readouterr().err
+        assert not (tmp_path / "res").exists()
+
     @pytest.mark.parametrize("flags, code", [([], 3), (["--allow-partial"], 0)])
     def test_failed_cell_exit_code(self, tmp_path, monkeypatch, capsys, flags, code):
         def failing_at_04(config, zero_target, seed):

@@ -16,7 +16,7 @@ from zicount import (
     wasserstein_pd,
 )
 from zicount.evaluate import make_model
-from zicount.exceptions import ShapeError, UndefinedComparisonError
+from zicount.exceptions import ShapeError, UndefinedComparisonError, ZicountError
 from zicount.synth import gen_setting_two, setting_two_config
 
 
@@ -141,7 +141,7 @@ def small_setting_two():
 class TestKfoldCv:
     def test_fold_sizes_and_partition(self, small_setting_two):
         Y, X = small_setting_two
-        report = kfold_cv(Y, covariates=X, k=5, sim_n=30, seed=1)
+        report = kfold_cv(Y, covariates=X, k=5, seed=1)
         folds = {r.fold for r in report.records}
         assert folds == set(range(5))
         # every model distance present per fold
@@ -158,11 +158,6 @@ class TestKfoldCv:
         sizes = [len(f) for f in folds]
         assert max(sizes) - min(sizes) <= 1
 
-    def test_sim_n_mismatch_rejected(self, small_setting_two):
-        Y, X = small_setting_two
-        with pytest.raises(ValueError):
-            kfold_cv(Y, covariates=X, k=5, sim_n=77, seed=1)
-
     def test_deterministic(self, small_setting_two):
         Y, X = small_setting_two
         models = lambda: [HurdleModel(False), TlnpnModel()]
@@ -174,7 +169,7 @@ class TestKfoldCv:
         Y, X = small_setting_two
         a = kfold_cv(Y, k=3, seed=1)
         b = kfold_cv(Y, k=3, seed=2)
-        assert a != b
+        assert a.records != b.records
 
     def test_requires_covariates_when_model_needs_them(self, small_setting_two):
         Y, _ = small_setting_two
@@ -255,6 +250,55 @@ class TestRandomSplitEval:
         Y, _ = small_setting_two
         with pytest.raises(ValueError):
             random_split_eval(Y, folds=3, n_splits=1, models=[HurdleModel(True), TlnpnModel()], seed=0)
+
+
+def _fail_copula_fits(monkeypatch, failing_calls):
+    """Make the copula fit raise on the given calls, counted from 0 in
+    (split, fold) order."""
+    real_fit = TlnpnModel.fit
+    calls = itertools.count()
+
+    def fit(self, Y, X=None):
+        if next(calls) in failing_calls:
+            raise ZicountError("injected copula failure")
+        return real_fit(self, Y, X)
+
+    monkeypatch.setattr(TlnpnModel, "fit", fit)
+
+
+def _distances(report, model, split):
+    return {r.fold: r.distance for r in report.records if r.model == model and r.split == split and not r.failed}
+
+
+class TestAmcUnderPartialFailure:
+    """One AMC rule for both protocols: per split, the fold means over the
+    folds where the hurdle and the copula model both fitted."""
+
+    def test_kfold_uses_only_folds_where_copula_fitted(self, small_setting_two, monkeypatch):
+        Y, _ = small_setting_two
+        _fail_copula_fits(monkeypatch, {1})
+        report = kfold_cv(Y, k=3, seed=21)
+        h, t = _distances(report, "hnb", 0), _distances(report, "tlnpn", 0)
+        assert sorted(h) == [0, 1, 2] and sorted(t) == [0, 2]
+        expected = amc(np.mean([h[0], h[2]]), np.mean([t[0], t[2]]))
+        assert report.amc == {"hnb_vs_tlnpn": [expected]}
+
+    def test_random_split_drops_the_failed_split(self, small_setting_two, monkeypatch):
+        Y, _ = small_setting_two
+        _fail_copula_fits(monkeypatch, {1})
+        report = random_split_eval(Y, folds=3, n_splits=3, seed=22)
+        expected = [
+            amc(_distances(report, "hnb", s)[2], _distances(report, "tlnpn", s)[2]) for s in (0, 2)
+        ]
+        assert _distances(report, "tlnpn", 1) == {}
+        assert report.amc == {"hnb_vs_tlnpn": expected}
+
+    def test_random_split_with_every_split_failed_has_no_key(self, small_setting_two, monkeypatch):
+        Y, _ = small_setting_two
+        _fail_copula_fits(monkeypatch, {0, 1, 2})
+        report = random_split_eval(Y, folds=3, n_splits=3, seed=23)
+        assert all(r.failed for r in report.records if r.model == "tlnpn")
+        assert report.amc == {}
 
 
 class TestMakeModel:
