@@ -22,7 +22,7 @@ from scipy.special import logit
 
 from . import __version__
 from .counts import Flavor
-from .evaluate import EvalReport, kfold_cv, make_model, random_split_eval
+from .evaluate import _MODEL_TAGS, EvalReport, kfold_cv, make_model, random_split_eval
 from .exceptions import ParseError, SelectionError
 from .fitting import fit_regression
 from .synth import (
@@ -248,7 +248,6 @@ class ExperimentConfig:
         if spec.needs_source and not self.dataset:
             raise ValueError(f"{self.experiment.value} needs a dataset path (or 'standin')")
         object.__setattr__(self, "grids", {k: list(v) for k, v in self.grids.items()})
-        object.__setattr__(self, "models", tuple(self.models))
 
     def canonical(self) -> dict:
         payload = {
@@ -292,7 +291,7 @@ def _count(value) -> int:
     return operator.index(value)
 
 
-# (key, coerce, valid) of each integer ExperimentConfig field, as for the grids
+# (key, coerce, valid) of each checked ExperimentConfig field, as for the grids
 _SCALARS = (
     ("replications", _count, lambda v: v >= 1),
     ("folds", _count, lambda v: v >= 2),
@@ -302,6 +301,8 @@ _SCALARS = (
     ("threads", _count, lambda v: v >= 1),
     ("n", lambda v: v if v is None else _count(v), lambda v: v is None or v >= 1),
     ("qmc_points", _count, lambda v: v >= 1),
+    # a nonempty list of unique tags that make_model knows
+    ("models", tuple, lambda v: v and len(set(v)) == len(v) and set(v) <= set(_MODEL_TAGS)),
 )
 
 
@@ -320,8 +321,6 @@ def config_from_json(path, **overrides) -> ExperimentConfig:
     unknown = set(raw) - known
     if unknown:
         raise ParseError(f"{path}: unknown config keys {sorted(unknown)}")
-    if "models" in raw:
-        raw["models"] = tuple(raw["models"])
     return ExperimentConfig(experiment=experiment, grids=grids, **raw)
 
 

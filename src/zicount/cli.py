@@ -15,6 +15,8 @@ import numpy as np
 
 from .bench import (
     Experiment,
+    _checked,
+    _count,
     _load_source,
     _write_csv,
     config_from_json,
@@ -157,15 +159,44 @@ def _cmd_fit(args) -> int:
     return 0
 
 
+def _optional(coerce):
+    return lambda v: v if v is None else coerce(v)
+
+
+# (key, coerce, valid, default) of each scalar scenario parameter, as
+# bench._SCALARS checks the config's; "p" defaults to 5 in a "corr" scenario
+_SCENARIO_SCALARS = (
+    ("n", _count, lambda v: v >= 1, 500),
+    ("p", _count, lambda v: v >= 1, 1),
+    ("beta0", float, np.isfinite, 0.0),
+    ("beta1", float, np.isfinite, 0.0),
+    ("gamma0", float, np.isfinite, 0.0),
+    ("gamma1", float, np.isfinite, 0.0),
+    ("r", float, lambda v: v > 0.0 and np.isfinite(v), 1.0),
+    ("zero_target", _optional(float), lambda v: v is None or 0.0 < v < 1.0, None),
+    ("rescale_exponent", _optional(float), lambda v: v is None or 0.0 < v <= 1.0, None),
+)
+# the further entries of a "corr" scenario; "rho" has no default
+_CORR_SCALARS = (
+    ("rho", float, np.isfinite, None),
+    ("orthogonal_seed", _count, lambda v: v >= 0, 0),
+)
+
+
 def _scenario_config(scenario: str, params: dict) -> SettingConfig:
+    entries = _SCENARIO_SCALARS
+    if "corr" in params:
+        params = {"p": 5, **params}
+        entries += _CORR_SCALARS
+    # the SettingConfig scalars, once rescale_exponent and the corr entries are popped
+    v = {
+        key: _checked(key, coerce, valid, params.get(key, default), "scenario parameter")
+        for key, coerce, valid, default in entries
+    }
+    exponent = v.pop("rescale_exponent")
     corr = None
     if "corr" in params:
-        corr = CorrelationSpec(
-            kind=CorrKind(str(params["corr"]).upper()),
-            rho=float(params["rho"]),
-            p=int(params.get("p", 5)),
-            orthogonal_seed=int(params.get("orthogonal_seed", 0)),
-        )
+        corr = CorrelationSpec(CorrKind(str(params["corr"]).upper()), v.pop("rho"), v["p"], v.pop("orthogonal_seed"))
     setting = {
         "one": Setting.ONE,
         "one-deflation": Setting.ONE_DEFLATION,
@@ -174,23 +205,14 @@ def _scenario_config(scenario: str, params: dict) -> SettingConfig:
     }[scenario]
     marginal_source = None
     if setting is Setting.THREE:
-        exponent = params.get("rescale_exponent")
-        data = _load_source(params.get("dataset", "standin"), None if exponent is None else float(exponent))
-        marginal_source = data.values
+        marginal_source = _load_source(params.get("dataset", "standin"), exponent).values
     return SettingConfig(
         setting=setting,
-        n=int(params.get("n", 500)),
-        p=int(params.get("p", 5 if corr is not None else 1)),
-        beta0=float(params.get("beta0", 0.0)),
-        beta1=float(params.get("beta1", 0.0)),
-        gamma0=float(params.get("gamma0", 0.0)),
-        gamma1=float(params.get("gamma1", 0.0)),
-        r=float(params.get("r", 1.0)),
         corr=corr,
         flavor=Flavor(str(params.get("flavor", "hnb")).lower()),
-        zero_target=params.get("zero_target"),
         transform=str(params.get("transform", "none")),
         marginal_source=marginal_source,
+        **v,
     )
 
 

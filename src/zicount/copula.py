@@ -30,6 +30,7 @@ from . import bridge_table
 from .exceptions import (
     ClampedCorrelationWarning,
     ConstantColumnError,
+    DegenerateDataError,
     InvalidCorrelationError,
 )
 
@@ -490,7 +491,7 @@ def fit_tlnpn(data, *, qmc_points: int = 4096) -> LatentCopulaModel:
         raise ValueError("data must be 2-d")
     n, p = Y.shape
     if n < 10 or p < 2:
-        raise ValueError("need n >= 10 and p >= 2")
+        raise DegenerateDataError("need n >= 10 and p >= 2")
     tau = kendall_tau_matrix(Y).tau
     delta = zero_truncation_levels(Y)
 

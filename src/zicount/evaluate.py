@@ -192,16 +192,19 @@ class TlnpnModel:
         return _FittedTlnpn(model=fit_tlnpn(np.asarray(Y), qmc_points=self.qmc_points))
 
 
+# report tag -> model adapter, given the copula's qmc_points
+_MODEL_TAGS = {
+    "hnb": lambda qmc_points: HurdleModel(use_covariates=False),
+    "hnb_cv": lambda qmc_points: HurdleModel(use_covariates=True),
+    "tlnpn": lambda qmc_points: TlnpnModel(qmc_points=qmc_points),
+}
+
+
 def make_model(tag: str, qmc_points: int = 4096):
     """Model adapter from its report tag."""
-    table = {
-        "hnb": lambda: HurdleModel(use_covariates=False),
-        "hnb_cv": lambda: HurdleModel(use_covariates=True),
-        "tlnpn": lambda: TlnpnModel(qmc_points=qmc_points),
-    }
-    if tag not in table:
-        raise ValueError(f"unknown model tag {tag!r}; expected one of {sorted(table)}")
-    return table[tag]()
+    if tag not in _MODEL_TAGS:
+        raise ValueError(f"unknown model tag {tag!r}; expected one of {sorted(_MODEL_TAGS)}")
+    return _MODEL_TAGS[tag](qmc_points)
 
 
 # ---------------------------------------------------------------------------

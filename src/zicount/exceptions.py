@@ -30,7 +30,7 @@ class NonFiniteCoefficientsError(ZicountError, ValueError):
 
 
 class InitializationError(ZicountError, RuntimeError):
-    """No finite starting point was found after the restart budget."""
+    """An optimizer objective is not finite at its start or its end point."""
 
 
 class ConstantColumnError(ZicountError, ValueError):

@@ -7,7 +7,7 @@ likelihood factorizes, so it is fitted as an independent logistic part
 """
 
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import minimize
@@ -24,13 +24,11 @@ from .exceptions import (
 __all__ = [
     "RegressionCoefficients",
     "RegressionFit",
-    "FitOptions",
     "ZinbLoglikTerms",
     "zinb_loglik",
     "hnb_loglik",
     "fit_regression",
     "fit_intercept_only",
-    "aic",
     "standard_errors",
 ]
 
@@ -38,6 +36,10 @@ __all__ = [
 # e^30 ~ 1.07e13 sits far above any count in scope
 _ETA_CLIP = 30.0
 _LOG_R_CLIP = 15.0
+# budget and tolerances of every L-BFGS-B run (on analytic gradients)
+_LBFGSB_OPTIONS = dict(maxiter=500, ftol=1e-9, gtol=1e-5)
+# central-difference step of the score in the observed information
+_SE_STEP = 1e-4
 
 
 @dataclass(frozen=True)
@@ -65,32 +67,20 @@ class RegressionCoefficients:
 
 @dataclass(frozen=True)
 class RegressionFit:
-    """A fitted regression: coefficients, attained log-likelihood, AIC."""
+    """A fitted regression: coefficients and attained log-likelihood."""
 
     coefficients: RegressionCoefficients
     loglik: float
     n_params: int
-    aic: float
     flavor: Flavor
     converged: bool
     n_obs: int
     trace: tuple = field(default=(), repr=False, compare=False)
 
-    def __post_init__(self):
-        expected = 2.0 * self.n_params - 2.0 * self.loglik
-        if not np.isclose(self.aic, expected, rtol=0.0, atol=1e-9 * max(1.0, abs(expected))):
-            raise ValueError("aic must equal 2*n_params - 2*loglik")
-
-
-@dataclass(frozen=True)
-class FitOptions:
-    """Optimizer budget and tolerances (L-BFGS-B on analytic gradients)."""
-
-    max_iter: int = 500
-    ftol: float = 1e-9
-    gtol: float = 1e-5
-    restarts: int = 5
-    seed: int = 0
+    @property
+    def aic(self) -> float:
+        """Akaike information criterion, 2*n_params - 2*loglik."""
+        return 2.0 * self.n_params - 2.0 * self.loglik
 
 
 class ZinbLoglikTerms(NamedTuple):
@@ -232,48 +222,26 @@ def _ztnb_negll(theta, y, X):
     return -float((log_nb - log_denom).sum()), -np.append(X.T @ g_eta, g_r)
 
 
-def _minimize(fun, x0, args, options: FitOptions):
+def _minimize(fun, x0, args):
     """One L-BFGS-B run on an objective returning (value, gradient).
 
-    Returns (x, negll, converged, trace), or None when the objective is not
-    finite at ``x0`` or at the end; the trace holds the log-likelihood at
-    the start and after every iteration.
+    Returns (x, negll, converged, trace); the trace holds the
+    log-likelihood at the start and after every iteration. Raises
+    InitializationError when the objective is not finite at ``x0`` or at
+    the end (the clips keep it finite on finite data).
     """
     f0 = fun(x0, *args)[0]
     if not np.isfinite(f0):
-        return None
+        raise InitializationError("objective not finite at the starting point")
     trace = [-f0]
 
     def cb(intermediate_result):
         trace.append(-intermediate_result.fun)
 
-    res = minimize(
-        fun,
-        x0,
-        args=args,
-        method="L-BFGS-B",
-        jac=True,
-        callback=cb,
-        options=dict(maxiter=options.max_iter, ftol=options.ftol, gtol=options.gtol),
-    )
+    res = minimize(fun, x0, args=args, method="L-BFGS-B", jac=True, callback=cb, options=_LBFGSB_OPTIONS)
     if not np.isfinite(res.fun):
-        return None
+        raise InitializationError("objective not finite at the optimizer's end point")
     return res.x, float(res.fun), bool(res.success), np.asarray(trace)
-
-
-def _minimize_with_restarts(fun, x0, args, options: FitOptions):
-    rng = np.random.default_rng(options.seed)
-    best = _minimize(fun, x0, args, options)
-    attempt = 0
-    while best is None and attempt < options.restarts:
-        attempt += 1
-        jitter = rng.normal(scale=0.5, size=len(x0))
-        best = _minimize(fun, np.asarray(x0) + jitter, args, options)
-    if best is None:
-        raise InitializationError(
-            f"objective non-finite at every start ({options.restarts} restarts)"
-        )
-    return best
 
 
 def _init_beta(y, X):
@@ -285,7 +253,26 @@ def _init_beta(y, X):
     return np.clip(coef, -10.0, 10.0)
 
 
-def fit_regression(y, X, Z=None, flavor: Flavor = Flavor.ZINB, options: Optional[FitOptions] = None) -> RegressionFit:
+def _result(coef: RegressionCoefficients, loglik, flavor: Flavor, ok, n: int, traces: tuple) -> RegressionFit:
+    """The fit at ``coef``; it counts as converged when every optimizer run
+    met its tolerances and the log-likelihood is finite."""
+    k = coef.beta.size + coef.gamma.size + 1
+    return RegressionFit(coef, float(loglik), k, flavor, bool(ok and np.isfinite(loglik)), n, traces)
+
+
+def _fit_hurdle(y, X, gamma, ok_gamma: bool, traces: tuple) -> RegressionFit:
+    """The hurdle fit given its zero model: the zero-truncated NB part on
+    the positive counts (shared design ``X``), then the full likelihood."""
+    pos = y > 0
+    if not pos.any():
+        raise DegenerateDataError("hurdle fit needs at least one positive count")
+    theta0 = np.append(_init_beta(y, X), 0.0)
+    x, _, ok, trace = _minimize(_ztnb_negll, theta0, (y[pos].astype(float), X[pos]))
+    coef = RegressionCoefficients(beta=x[:-1], gamma=gamma, log_r=_clip_log_r(x[-1]))
+    return _result(coef, hnb_loglik(y, X, coef), Flavor.HNB, ok_gamma and ok, len(y), traces + (trace,))
+
+
+def fit_regression(y, X, Z=None, flavor: Flavor = Flavor.ZINB) -> RegressionFit:
     """Maximum-likelihood fit of a ZINB or hurdle-NB regression.
 
     Parameters
@@ -295,14 +282,12 @@ def fit_regression(y, X, Z=None, flavor: Flavor = Flavor.ZINB, options: Optional
     Z : design for the zero model; defaults to ``X``. The hurdle model
         shares one design, so for HNB ``Z`` must be omitted or equal X.
     flavor : Flavor.ZINB or Flavor.HNB
-    options : FitOptions
 
     Returns
     -------
     RegressionFit with ``converged`` False when the optimizer exhausted
     its budget before meeting the tolerances.
     """
-    options = options or FitOptions()
     y = np.asarray(y)
     if np.any(y < 0):
         raise ValueError("counts must be nonnegative")
@@ -316,47 +301,18 @@ def fit_regression(y, X, Z=None, flavor: Flavor = Flavor.ZINB, options: Optional
     if flavor is Flavor.ZINB:
         if not (y == 0).any() or not (y > 0).any():
             raise DegenerateDataError("ZINB needs at least one zero and one positive count")
-        g0 = _minimize_with_restarts(_logistic_negll, np.zeros(q2), ((y == 0).astype(float), Z), options)[0]
+        g0 = _minimize(_logistic_negll, np.zeros(q2), ((y == 0).astype(float), Z))[0]
         theta0 = np.concatenate([_init_beta(y, X), g0, [0.0]])
-        x, negll, ok, trace = _minimize_with_restarts(_zinb_negll, theta0, (y.astype(float), X, Z), options)
-        coef = RegressionCoefficients(
-            beta=x[:q1], gamma=x[q1 : q1 + q2], log_r=_clip_log_r(x[-1])
-        )
+        x, _, ok, trace = _minimize(_zinb_negll, theta0, (y.astype(float), X, Z))
+        coef = RegressionCoefficients(beta=x[:q1], gamma=x[q1 : q1 + q2], log_r=_clip_log_r(x[-1]))
         # report the unclipped likelihood at the optimum
-        loglik = zinb_loglik(y, X, Z, coef).total
-        traces = (trace,)
-    elif flavor is Flavor.HNB:
-        if not np.array_equal(Z, X):
+        return _result(coef, zinb_loglik(y, X, Z, coef).total, flavor, ok, n, (trace,))
+    if flavor is Flavor.HNB:
+        if not np.array_equal(Z, X, equal_nan=True):
             raise ValueError("the hurdle model uses one shared design; pass Z=None")
-        if not (y > 0).any():
-            raise DegenerateDataError("hurdle fit needs at least one positive count")
-        g, negll_g, ok_g, trace_g = _minimize_with_restarts(
-            _logistic_negll, np.zeros(q1), ((y == 0).astype(float), X), options
-        )
-        yp = y[y > 0].astype(float)
-        Xp = X[y > 0]
-        theta0 = np.concatenate([_init_beta(y, X), [0.0]])
-        xb, negll_b, ok_b, trace_b = _minimize_with_restarts(_ztnb_negll, theta0, (yp, Xp), options)
-        coef = RegressionCoefficients(
-            beta=xb[:-1], gamma=g, log_r=_clip_log_r(xb[-1])
-        )
-        loglik = hnb_loglik(y, X, coef)
-        ok = ok_g and ok_b
-        traces = (trace_g, trace_b)
-    else:
-        raise ValueError("fit_regression supports ZINB and HNB; use fit_intercept_only for NB")
-
-    k = q1 + q2 + 1
-    return RegressionFit(
-        coefficients=coef,
-        loglik=float(loglik),
-        n_params=k,
-        aic=2.0 * k - 2.0 * float(loglik),
-        flavor=flavor,
-        converged=bool(ok) and np.isfinite(loglik),
-        n_obs=n,
-        trace=traces,
-    )
+        g, _, ok, trace = _minimize(_logistic_negll, np.zeros(q1), ((y == 0).astype(float), X))
+        return _fit_hurdle(y, X, g, ok, (trace,))
+    raise ValueError("fit_regression supports ZINB and HNB; use fit_intercept_only for NB")
 
 
 def _nb_negll(theta, y):
@@ -373,7 +329,7 @@ def _moment_nb_init(y):
     return np.array([np.log(m), np.log(np.clip(r, 1e-3, 1e3))])
 
 
-def fit_intercept_only(y, flavor: Flavor, options: Optional[FitOptions] = None) -> RegressionFit:
+def fit_intercept_only(y, flavor: Flavor) -> RegressionFit:
     """Intercept-only reduction of :func:`fit_regression`.
 
     For HNB the zero part has the closed-form solution
@@ -381,7 +337,6 @@ def fit_intercept_only(y, flavor: Flavor, options: Optional[FitOptions] = None) 
     from the truncated-NB optimization. NB (no zero model) is supported
     for baseline comparisons.
     """
-    options = options or FitOptions()
     y = np.asarray(y)
     n = len(y)
     if n < 3:
@@ -389,37 +344,18 @@ def fit_intercept_only(y, flavor: Flavor, options: Optional[FitOptions] = None) 
     ones = np.ones((n, 1))
 
     if flavor is Flavor.ZINB:
-        return fit_regression(y, ones, ones, Flavor.ZINB, options)
+        return fit_regression(y, ones, ones, Flavor.ZINB)
 
     if flavor is Flavor.HNB:
-        if not (y > 0).any():
-            raise DegenerateDataError("hurdle fit needs at least one positive count")
         pi_hat = float(np.mean(y == 0))
         # keep the logit finite when the sample has no zeros (or none positive)
         pi_clamped = min(max(pi_hat, 1.0 / (4.0 * n)), 1.0 - 1.0 / (4.0 * n))
-        gamma0 = float(logit(pi_clamped))
-        yp = y[y > 0].astype(float)
-        theta0 = np.concatenate([_init_beta(y, ones), [0.0]])
-        xb, _, ok, trace_b = _minimize_with_restarts(
-            _ztnb_negll, theta0, (yp, np.ones((len(yp), 1))), options
-        )
-        coef = RegressionCoefficients(beta=xb[:-1], gamma=np.array([gamma0]), log_r=_clip_log_r(xb[-1]))
-        loglik = hnb_loglik(y, ones, coef)
-        k = 3
-        return RegressionFit(coef, float(loglik), k, 2.0 * k - 2.0 * loglik, flavor, bool(ok), n, (trace_b,))
+        return _fit_hurdle(y, ones, np.array([float(logit(pi_clamped))]), True, ())
 
     # NB: moment initialization refined by MLE
-    theta0 = _moment_nb_init(y)
-    x, negll, ok, trace = _minimize_with_restarts(_nb_negll, theta0, (y.astype(float),), options)
+    x, negll, ok, trace = _minimize(_nb_negll, _moment_nb_init(y), (y.astype(float),))
     coef = RegressionCoefficients(beta=x[:1], gamma=np.empty(0), log_r=_clip_log_r(x[-1]))
-    k = 2
-    loglik = -negll
-    return RegressionFit(coef, float(loglik), k, 2.0 * k - 2.0 * loglik, Flavor.NB, bool(ok), n, (trace,))
-
-
-def aic(fit: RegressionFit) -> float:
-    """Akaike information criterion, 2*k - 2*loglik."""
-    return 2.0 * fit.n_params - 2.0 * fit.loglik
+    return _result(coef, -negll, Flavor.NB, ok, n, (trace,))
 
 
 def _score(theta, y, X, Z, flavor):
@@ -435,7 +371,7 @@ def _score(theta, y, X, Z, flavor):
     return np.concatenate([d_b[:-1], d_g, d_b[-1:]])
 
 
-def _observed_information(y, X, Z, fit: RegressionFit, step: float) -> np.ndarray:
+def _observed_information(y, X, Z, fit: RegressionFit) -> np.ndarray:
     """Minus the Hessian of the log-likelihood, by central differences of the
     analytic score (2m score calls), symmetrized."""
     coef = fit.coefficients
@@ -444,12 +380,12 @@ def _observed_information(y, X, Z, fit: RegressionFit, step: float) -> np.ndarra
     hess = np.empty((m, m))
     for i in range(m):
         e = np.zeros(m)
-        e[i] = step
-        hess[:, i] = (_score(theta + e, y, X, Z, fit.flavor) - _score(theta - e, y, X, Z, fit.flavor)) / (2.0 * step)
+        e[i] = _SE_STEP
+        hess[:, i] = (_score(theta + e, y, X, Z, fit.flavor) - _score(theta - e, y, X, Z, fit.flavor)) / (2.0 * _SE_STEP)
     return -0.5 * (hess + hess.T)
 
 
-def standard_errors(y, X, Z, fit: RegressionFit, step: float = 1e-4) -> np.ndarray:
+def standard_errors(y, X, Z, fit: RegressionFit) -> np.ndarray:
     """Asymptotic standard errors of (beta, gamma, log_r).
 
     Observed information at the optimum, from central differences of the
@@ -460,7 +396,7 @@ def standard_errors(y, X, Z, fit: RegressionFit, step: float = 1e-4) -> np.ndarr
     """
     y = np.asarray(y)
     X, Z = _design(X), _design(Z)
-    info = _observed_information(y, X, Z, fit, step)
+    info = _observed_information(y, X, Z, fit)
     try:
         cov = np.linalg.inv(info)
     except np.linalg.LinAlgError:

@@ -51,6 +51,16 @@ class TestFitCommand:
         assert payload["model"] == "hnb"
         assert payload["aic"] == pytest.approx(2 * payload["n_params"] - 2 * payload["loglik"])
 
+    @pytest.mark.parametrize("model, covariates", [("hnb", True), ("zinb", True), ("zinb", False)])
+    def test_fit_zero_model_json(self, counts_csv, tmp_path, capsys, model, covariates):
+        cov = write_counts(tmp_path / "cov.csv", np.arange(50)[:, None] % 7, ["x"])
+        flags = ["--covariates", str(cov)] if covariates else []
+        assert main(["fit", "--data", str(counts_csv), "--model", model, *flags]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert len(payload["beta"]) == 1 + covariates and payload["n_params"] == 3 + 2 * covariates
+        assert payload["converged"] is True
+        assert payload["aic"] == 2 * payload["n_params"] - 2 * payload["loglik"]
+
     def test_fit_writes_file(self, counts_csv, tmp_path):
         out = tmp_path / "fit.json"
         assert main(["fit", "--data", str(counts_csv), "--model", "nb", "--out", str(out)]) == 0
@@ -68,6 +78,17 @@ class TestSimulateCommand:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 80
         assert set(rows[0]) == {"y0", "y1", "y2", "x0", "x1", "x2"}
+
+    @pytest.mark.parametrize(
+        "key, value, shown", [("n", None, "None"), ("rho", "high", "'high'"), ("orthogonal_seed", 1.5, "1.5")]
+    )
+    def test_malformed_parameter_is_error(self, tmp_path, capsys, key, value, shown):
+        params = tmp_path / "p.json"
+        params.write_text(json.dumps({"corr": "AR", "rho": 0.5, "p": 3, "n": 80, key: value}))
+        out = tmp_path / "sim.csv"
+        assert main(["simulate", "--scenario", "two", "--params", str(params), "--out", str(out)]) == 1
+        assert f"error: scenario parameter {shown} out of range for {key!r}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_scenario_three_standin(self, tmp_path):
         params = tmp_path / "p.json"
@@ -155,6 +176,17 @@ class TestExperimentCommands:
         cfg_path.write_text(json.dumps(cfg))
         assert main(["setting-one-deflation", "--config", str(cfg_path)]) == 1
         assert f"error: config value {shown} out of range for {key!r}" in capsys.readouterr().err
+        assert not (tmp_path / "res").exists()
+
+    @pytest.mark.parametrize(
+        "models", [None, [], "hnb", ["hnb", "zip"], ["hnb", "hnb", "tlnpn"]], ids=repr
+    )
+    def test_malformed_models_is_error(self, tmp_path, capsys, models):
+        cfg_path = tmp_path / "cfg.json"
+        cfg = {"experiment": "real-data", "dataset": "standin", "n_splits": 1, "out": str(tmp_path / "res"), "models": models}
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["real-data", "--config", str(cfg_path)]) == 1
+        assert f"error: config value {models!r} out of range for 'models'" in capsys.readouterr().err
         assert not (tmp_path / "res").exists()
 
     @pytest.mark.parametrize("flags, code", [([], 3), (["--allow-partial"], 0)])

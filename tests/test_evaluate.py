@@ -216,7 +216,7 @@ class TestKfoldCv:
         import zicount.evaluate as evaluate
         from zicount.fitting import RegressionCoefficients
 
-        def diverged_fit(y, flavor, options=None):
+        def diverged_fit(y, flavor):
             return RegressionCoefficients(beta=[np.nan], gamma=[0.0], log_r=0.0)
 
         monkeypatch.setattr(evaluate, "fit_intercept_only", diverged_fit)
@@ -298,6 +298,24 @@ class TestAmcUnderPartialFailure:
         _fail_copula_fits(monkeypatch, {0, 1, 2})
         report = random_split_eval(Y, folds=3, n_splits=3, seed=23)
         assert all(r.failed for r in report.records if r.model == "tlnpn")
+        assert report.amc == {}
+
+    @pytest.mark.parametrize(
+        "shape, protocol",
+        [
+            # 7 training rows, below the copula's 10
+            ((14, 3), lambda Y: random_split_eval(Y, folds=2, n_splits=2, seed=24)),
+            # one column, below the copula's 2
+            ((60, 1), lambda Y: kfold_cv(Y, k=3, seed=25)),
+        ],
+    )
+    def test_too_small_training_block_fails_only_the_copula(self, shape, protocol):
+        Y = np.random.default_rng(26).poisson(3.0, size=shape) + np.arange(shape[0])[:, None] % 2
+        report = protocol(Y)
+        hn = [r for r in report.records if r.model == "hnb"]
+        tl = [r for r in report.records if r.model == "tlnpn"]
+        assert hn and not any(r.failed for r in hn)
+        assert tl and all(r.failed and "need n >= 10 and p >= 2" in r.error for r in tl)
         assert report.amc == {}
 
 
