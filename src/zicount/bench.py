@@ -30,6 +30,7 @@ from .synth import (
     CorrelationSpec,
     Setting,
     SettingConfig,
+    ar_correlation,
     gen_setting_one,
     gen_setting_three,
     gen_setting_two,
@@ -177,8 +178,7 @@ def make_qmp_standin(seed: int = 7) -> Dataset:
     order = rng.permutation(p)  # decouple zero level from column position
     zero_counts = zero_counts[order]
 
-    idx = np.arange(p)
-    latent_corr = 0.6 ** np.abs(idx[:, None] - idx[None, :])
+    latent_corr = ar_correlation(CorrelationSpec(CorrKind.AR, 0.6, p))
     z = rng.standard_normal((n, p)) @ np.linalg.cholesky(latent_corr).T
 
     scale = np.exp(rng.uniform(0.0, 6.0, size=p))  # column scales: 1 .. ~400
@@ -239,12 +239,20 @@ class ExperimentConfig:
         extra = set(self.grids) - {key for key, _, _ in spec.grid}
         if extra:
             raise ValueError(f"grid keys {sorted(extra)} not valid for {self.experiment.value}")
+        grid = {}
         for key, coerce, valid in spec.grid:
             values = list(self.grids.get(key, ()))
             if not values:
                 raise ValueError(f"{self.experiment.value} needs a nonempty grid for {key!r}")
-            for v in values:
-                _checked(key, coerce, valid, v, "grid value")
+            grid[key] = [_checked(key, coerce, valid, v, "grid value") for v in values]
+        if "corr" in grid:  # the rho range of each corr lives in CorrelationSpec
+            for corr, rho in itertools.product(grid["corr"], grid["rho"]):
+                try:
+                    _corr_spec(self, {"corr": corr, "rho": rho})
+                except ValueError as exc:
+                    raise ValueError(f"grid pair corr={corr!r}, rho={rho!r}: {exc}") from None
+        if spec.needs_source and "hnb_cv" in self.models:  # a source table has no covariates
+            raise ValueError(f"model 'hnb_cv' needs covariates, which {self.experiment.value} does not have")
         if spec.needs_source and not self.dataset:
             raise ValueError(f"{self.experiment.value} needs a dataset path (or 'standin')")
         object.__setattr__(self, "grids", {k: list(v) for k, v in self.grids.items()})
@@ -367,9 +375,9 @@ def _seed(*entropy) -> int:
     return int(np.random.SeedSequence(list(entropy)).generate_state(1)[0])
 
 
-def _models(config: ExperimentConfig, covariates: bool) -> list:
-    """The config's model adapters; ``hnb_cv`` runs only with covariates."""
-    return [make_model(tag, config.qmc_points) for tag in config.models if covariates or tag != "hnb_cv"]
+def _models(config: ExperimentConfig) -> list:
+    """The config's model adapters."""
+    return [make_model(tag, config.qmc_points) for tag in config.models]
 
 
 def _setting_one_flavor(flavor_name: str) -> Flavor:
@@ -454,7 +462,7 @@ def _cv_tables(config: ExperimentConfig, point: dict, replication: int, Y, X, ev
         Y,
         covariates=X,
         k=config.folds,
-        models=_models(config, X is not None),
+        models=_models(config),
         seed=_seed(config.seed, eval_tag, replication),
         order=config.order,
         collect_extras=config.collect_extras,
@@ -494,7 +502,7 @@ def _run_real_data_cell(config, point, replication, source_values):
         source_values,
         folds=config.folds,
         n_splits=config.n_splits,
-        models=_models(config, covariates=False),
+        models=_models(config),
         seed=config.seed,
         order=config.order,
         collect_extras=config.collect_extras,
@@ -527,7 +535,7 @@ class _Spec(NamedTuple):
 
 
 _CORR = ("corr", lambda v: str(v).upper(), lambda v: v in ("AR", "GD"))
-_RHO = ("rho", float, lambda v: -1.0 < v < 1.0)
+_RHO = ("rho", float, np.isfinite)  # its range per corr is checked by CorrelationSpec
 _ZERO_TARGET = ("zero_target", float, lambda v: 0.0 < v < 1.0)
 
 

@@ -40,13 +40,7 @@ from .synth import (
     gen_setting_two,
 )
 
-_EXPERIMENT_COMMANDS = {
-    "setting-one": Experiment.SETTING_ONE,
-    "setting-one-deflation": Experiment.SETTING_ONE_DEFLATION,
-    "setting-two": Experiment.SETTING_TWO,
-    "setting-three": Experiment.SETTING_THREE,
-    "real-data": Experiment.REAL_DATA,
-}
+_EXPERIMENT_COMMANDS = [experiment.value for experiment in Experiment]
 
 
 def _add_run_flags(parser):
@@ -74,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     fp.add_argument("--out", default=None, help="write the JSON fit summary here instead of stdout")
 
     sp = sub.add_parser("simulate", help="generate a synthetic dataset from a scenario")
-    sp.add_argument("--scenario", choices=["one", "one-deflation", "two", "three"], required=True)
+    sp.add_argument("--scenario", choices=[setting.value for setting in Setting], required=True)
     sp.add_argument("--params", required=True, help="JSON file of scenario parameters")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", required=True, help="output CSV path")
@@ -106,7 +100,7 @@ def _cmd_experiment(command: str, args) -> int:
         out=args.out,
         threads=args.threads,
     )
-    if config.experiment is not _EXPERIMENT_COMMANDS[command]:
+    if config.experiment is not Experiment(command):
         print(
             f"error: config is for {config.experiment.value!r}, not {command!r}",
             file=sys.stderr,
@@ -197,12 +191,7 @@ def _scenario_config(scenario: str, params: dict) -> SettingConfig:
     corr = None
     if "corr" in params:
         corr = CorrelationSpec(CorrKind(str(params["corr"]).upper()), v.pop("rho"), v["p"], v.pop("orthogonal_seed"))
-    setting = {
-        "one": Setting.ONE,
-        "one-deflation": Setting.ONE_DEFLATION,
-        "two": Setting.TWO,
-        "three": Setting.THREE,
-    }[scenario]
+    setting = Setting(scenario)
     marginal_source = None
     if setting is Setting.THREE:
         marginal_source = _load_source(params.get("dataset", "standin"), exponent).values

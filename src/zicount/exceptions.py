@@ -41,10 +41,6 @@ class InvalidCorrelationError(ZicountError, ValueError):
     """A matrix that must be a symmetric positive-definite correlation is not."""
 
 
-class InfeasibleTargetError(ZicountError, ValueError):
-    """A calibration target lies outside the reachable range."""
-
-
 class UndefinedComparisonError(ZicountError, ValueError):
     """Relative comparison of two distances is undefined (both are zero)."""
 

@@ -13,7 +13,7 @@ import numpy as np
 from scipy.optimize import minimize
 from scipy.special import expit, gammaln, logit
 
-from .counts import Flavor, _log_nb_zero, _nb_logpmf
+from .counts import Flavor, _check_counts, _log_nb_zero, _nb_logpmf
 from .exceptions import (
     DegenerateDataError,
     IllConditionedDesignError,
@@ -288,9 +288,7 @@ def fit_regression(y, X, Z=None, flavor: Flavor = Flavor.ZINB) -> RegressionFit:
     RegressionFit with ``converged`` False when the optimizer exhausted
     its budget before meeting the tolerances.
     """
-    y = np.asarray(y)
-    if np.any(y < 0):
-        raise ValueError("counts must be nonnegative")
+    y = _check_counts(y)
     X = _design(X)
     Z = X if Z is None else _design(Z)
     n = len(y)
@@ -337,7 +335,7 @@ def fit_intercept_only(y, flavor: Flavor) -> RegressionFit:
     from the truncated-NB optimization. NB (no zero model) is supported
     for baseline comparisons.
     """
-    y = np.asarray(y)
+    y = _check_counts(y)
     n = len(y)
     if n < 3:
         raise DegenerateDataError("need at least 3 observations")

@@ -12,11 +12,11 @@ from typing import Optional
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.special import expit, logit, ndtr
+from scipy.special import expit, logit
 
+from .copula import LatentCopulaModel, sample_tlnpn, zero_truncation_levels
 from .counts import Flavor, _log_nb_zero, _sample_hnb, _sample_zinb
-from .copula import _empirical_quantile
-from .exceptions import InfeasibleTargetError, SelectionError
+from .exceptions import SelectionError
 
 __all__ = [
     "CorrKind",
@@ -28,8 +28,6 @@ __all__ = [
     "random_orthogonal",
     "sample_mvn",
     "gen_setting_one",
-    "calibrate_gamma0",
-    "calibrate_gamma0_structural",
     "resolve_setting_one_gamma0",
     "gen_setting_two",
     "gen_setting_three",
@@ -229,70 +227,35 @@ def gen_setting_one(config: SettingConfig, seed: int):
 _CALIBRATION_DRAWS = 100_000
 
 
-def _zero_prob_curve(config: SettingConfig, x: np.ndarray, structural: bool):
-    """Mean zero probability as a function of gamma0, common random numbers."""
-    mu = np.exp(config.beta0 + config.beta1 * x)
-    nb0 = np.exp(_log_nb_zero(mu, config.r))
-
-    def h(gamma0):
-        pi = expit(gamma0 + config.gamma1 * x)
-        if structural or config.flavor is Flavor.HNB:
-            return float(pi.mean())
-        return float((pi + (1.0 - pi) * nb0).mean())
-
-    return h, nb0
-
-
-def calibrate_gamma0(config: SettingConfig, target_zero: float, seed: int) -> float:
+def resolve_setting_one_gamma0(config: SettingConfig, target_zero: float, seed: int):
     """gamma0 whose Monte Carlo mean zero probability equals ``target_zero``.
 
-    Uses 1e5 covariate draws with common random numbers, so the root is
-    found on a smooth deterministic curve. For HNB with gamma1 = 0 the
-    answer is the exact logit. A ZINB target below the NB zero floor is
-    unreachable and raises.
+    The mean runs over 1e5 covariate draws (common random numbers), so the
+    root is found on a smooth deterministic curve. An HNB zero is always
+    structural: its target is met by E[pi(x)]. A ZINB target is met by the
+    total zero probability E[pi + (1 - pi) NB(0)], unless it lies at or
+    below that curve's value at gamma0 = -40 (the NB zero floor); then by
+    E[pi(x)]. On E[pi(x)] with gamma1 = 0 the answer is the exact logit.
+
+    Returns (gamma0, mode), mode "structural" for a ZINB target below the
+    floor and "total" otherwise.
     """
     if not 0.0 < target_zero < 1.0:
         raise ValueError("target_zero must lie in (0, 1)")
-    if config.flavor is Flavor.HNB and config.gamma1 == 0.0:
-        return float(logit(target_zero))
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(_CALIBRATION_DRAWS)
-    h, nb0 = _zero_prob_curve(config, x, structural=False)
-    if config.flavor is Flavor.ZINB:
-        floor = float(nb0.mean())
-        if target_zero <= h(-40.0):
-            raise InfeasibleTargetError(
-                f"target {target_zero} is below the NB zero floor {floor:.4f}"
-            )
-    return float(brentq(lambda g: h(g) - target_zero, -40.0, 40.0, xtol=1e-10))
+    x = np.random.default_rng(seed).standard_normal(_CALIBRATION_DRAWS)
+    nb0 = np.exp(_log_nb_zero(np.exp(config.beta0 + config.beta1 * x), config.r))
 
+    def zero_prob(gamma0, structural: bool) -> float:
+        pi = expit(gamma0 + config.gamma1 * x)
+        return float(pi.mean() if structural else (pi + (1.0 - pi) * nb0).mean())
 
-def calibrate_gamma0_structural(config: SettingConfig, target_zero: float, seed: int) -> float:
-    """gamma0 whose mean *structural* zero weight E[pi(x)] equals the target.
-
-    Always feasible; used when the total-zero target sits below the ZINB
-    floor.
-    """
-    if not 0.0 < target_zero < 1.0:
-        raise ValueError("target_zero must lie in (0, 1)")
-    if config.gamma1 == 0.0:
-        return float(logit(target_zero))
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(_CALIBRATION_DRAWS)
-    h, _ = _zero_prob_curve(config, x, structural=True)
-    return float(brentq(lambda g: h(g) - target_zero, -40.0, 40.0, xtol=1e-10))
-
-
-def resolve_setting_one_gamma0(config: SettingConfig, target_zero: float, seed: int):
-    """Calibrate on total zeros, falling back to the structural weight when
-    the total target is unreachable (ZINB below its zero floor).
-
-    Returns (gamma0, mode) with mode in {"total", "structural"}.
-    """
-    try:
-        return calibrate_gamma0(config, target_zero, seed), "total"
-    except InfeasibleTargetError:
-        return calibrate_gamma0_structural(config, target_zero, seed), "structural"
+    below_floor = config.flavor is Flavor.ZINB and target_zero <= zero_prob(-40.0, False)
+    mode = "structural" if below_floor else "total"
+    structural = below_floor or config.flavor is Flavor.HNB
+    if structural and config.gamma1 == 0.0:
+        return float(logit(target_zero)), mode
+    root = brentq(lambda g: zero_prob(g, structural) - target_zero, -40.0, 40.0, xtol=1e-10)
+    return float(root), mode
 
 
 def gen_setting_two(config: SettingConfig, seed: int):
@@ -349,21 +312,17 @@ def gen_setting_three(config: SettingConfig, seed: int) -> np.ndarray:
     """Truncated-copula population built on empirical source marginals.
 
     The (optionally sqrt-and-round transformed) source columns closest to
-    ``zero_target`` provide the marginals; latent Gaussians with the
-    spec's correlation are pushed through the normal CDF and the
-    empirical quantile tables.
+    ``zero_target`` provide the marginals of a TLNPN model with the spec's
+    latent correlation, which :func:`~zicount.copula.sample_tlnpn` draws.
     """
     if config.setting is not Setting.THREE:
         raise ValueError("config is not scenario three")
     source = _transform_source(np.asarray(config.marginal_source, dtype=float), config.transform)
     targets = np.full(config.p, config.zero_target if config.zero_target is not None else 0.5)
-    cols = select_columns_by_zero_fraction(source, targets)
-    tables = [np.sort(source[:, c]) for c in cols]
-
-    sigma = realize_correlation(config.corr)
-    latent = sample_mvn(config.n, sigma, seed)
-    u = ndtr(latent)
-    Y = np.empty((config.n, config.p))
-    for j in range(config.p):
-        Y[:, j] = _empirical_quantile(tables[j], u[:, j])
-    return Y
+    chosen = source[:, select_columns_by_zero_fraction(source, targets)]
+    model = LatentCopulaModel(
+        sigma_hat=realize_correlation(config.corr),
+        delta_hat=zero_truncation_levels(chosen),
+        marginals=tuple(np.sort(chosen[:, j]) for j in range(config.p)),
+    )
+    return sample_tlnpn(model, config.n, seed)

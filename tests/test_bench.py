@@ -23,7 +23,7 @@ from zicount.bench import (
 )
 from zicount.counts import Flavor
 from zicount.evaluate import EvalRecord, EvalReport
-from zicount.exceptions import InfeasibleTargetError, ParseError, SelectionError
+from zicount.exceptions import InvalidParameterError, ParseError, SelectionError
 from zicount.synth import resolve_setting_one_gamma0, setting_one_config
 
 mpmath.mp.dps = 50
@@ -172,6 +172,34 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="dataset"):
             ExperimentConfig(experiment=Experiment.REAL_DATA, grids={})
 
+    @pytest.mark.parametrize(
+        "experiment, grids",
+        [
+            (Experiment.SETTING_THREE, {"rho": [0.5], "zero_target": [0.4], "transform": ["none"], "corr": ["AR"]}),
+            (Experiment.REAL_DATA, {}),
+        ],
+    )
+    def test_rejects_hnb_cv_without_covariates(self, experiment, grids):
+        with pytest.raises(ValueError, match="'hnb_cv' needs covariates"):
+            ExperimentConfig(experiment=experiment, grids=grids, dataset="standin", models=("hnb", "hnb_cv"))
+
+    def test_accepts_hnb_cv_with_covariates(self):
+        grids = {"beta1": [0.0], "gamma0": [-2.0], "gamma1": [0.0], "rho": [0.5], "corr": ["AR"]}
+        config = ExperimentConfig(experiment=Experiment.SETTING_TWO, grids=grids, models=("hnb", "hnb_cv"))
+        assert config.models == ("hnb", "hnb_cv")
+
+    @pytest.mark.parametrize(
+        "experiment, grids",
+        [
+            (Experiment.SETTING_TWO, {"beta1": [0.0], "gamma0": [-2.0], "gamma1": [0.0], "rho": [-0.5], "corr": ["GD"]}),
+            (Experiment.SETTING_THREE, {"rho": [0.5, 0.0], "zero_target": [0.4], "transform": ["none"], "corr": ["gd"]}),
+            (Experiment.SETTING_THREE, {"rho": [1.5], "zero_target": [0.4], "transform": ["none"], "corr": ["AR"]}),
+        ],
+    )
+    def test_rejects_corr_rho_pair_outside_the_spec_range(self, experiment, grids):
+        with pytest.raises(ValueError, match="grid pair corr="):
+            ExperimentConfig(experiment=experiment, grids=grids, dataset="standin")
+
 
 def deflation_config(tmp_path, **kw):
     base = dict(
@@ -231,7 +259,7 @@ class TestRunExperiment:
     def test_setting_one_calibration_failure_is_recorded_per_cell(self, tmp_path, monkeypatch):
         def failing_at_04(config, zero_target, seed):
             if zero_target == 0.4:
-                raise InfeasibleTargetError("no gamma0 reaches the target")
+                raise InvalidParameterError("no gamma0 reaches the target")
             return resolve_setting_one_gamma0(config, zero_target, seed)
 
         monkeypatch.setattr(bench, "resolve_setting_one_gamma0", failing_at_04)
@@ -246,7 +274,7 @@ class TestRunExperiment:
         tables = read_results(run_experiment(config))
         failures = tables["manifest"]["failures"]
         assert len(failures) == 2 * 2  # flavor x replication at the failing zero target
-        assert all(f["args"][0] == "0.4" and f["error"].startswith("InfeasibleTargetError") for f in failures)
+        assert all(f["args"][0] == "0.4" and f["error"].startswith("InvalidParameterError") for f in failures)
         assert {row["zero_target"] for row in tables["aic"]} == {"0.2"}
         assert len(tables["aic"]) == 2 * 2 * 2  # flavor x replication x fitted model
 

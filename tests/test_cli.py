@@ -7,7 +7,7 @@ import pytest
 from zicount import bench
 from zicount.cli import main
 from zicount.evaluate import wasserstein_pd
-from zicount.exceptions import InfeasibleTargetError
+from zicount.exceptions import InvalidParameterError
 
 
 def write_counts(path, values, names=None):
@@ -189,11 +189,35 @@ class TestExperimentCommands:
         assert f"error: config value {models!r} out of range for 'models'" in capsys.readouterr().err
         assert not (tmp_path / "res").exists()
 
+    @pytest.mark.parametrize("models", [["hnb_cv"], ["hnb_cv", "tlnpn"]], ids=repr)
+    def test_hnb_cv_without_covariates_is_error(self, tmp_path, capsys, models):
+        cfg_path = tmp_path / "cfg.json"
+        cfg = {"experiment": "real-data", "dataset": "standin", "n_splits": 1, "out": str(tmp_path / "res"), "models": models}
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["real-data", "--config", str(cfg_path)]) == 1
+        assert "error: model 'hnb_cv' needs covariates" in capsys.readouterr().err
+        assert not (tmp_path / "res").exists()
+
+    @pytest.mark.parametrize(
+        "experiment, grids",
+        [
+            ("setting-two", {"beta1": [0.0], "gamma0": [-2.0], "gamma1": [0.0], "rho": [0.5, -0.5], "corr": ["AR", "GD"]}),
+            ("setting-three", {"rho": [-0.5], "zero_target": [0.4], "transform": ["none"], "corr": ["GD"]}),
+        ],
+    )
+    def test_corr_rho_pair_out_of_range_is_error(self, tmp_path, capsys, experiment, grids):
+        cfg_path = tmp_path / "cfg.json"
+        cfg = {"experiment": experiment, "grids": grids, "dataset": "standin", "n": 60, "out": str(tmp_path / "res")}
+        cfg_path.write_text(json.dumps(cfg))
+        assert main([experiment, "--config", str(cfg_path)]) == 1
+        assert "error: grid pair corr='GD', rho=-0.5: GD requires 0 < rho < 1" in capsys.readouterr().err
+        assert not (tmp_path / "res").exists()
+
     @pytest.mark.parametrize("flags, code", [([], 3), (["--allow-partial"], 0)])
     def test_failed_cell_exit_code(self, tmp_path, monkeypatch, capsys, flags, code):
         def failing_at_04(config, zero_target, seed):
             if zero_target == 0.4:
-                raise InfeasibleTargetError("no gamma0 reaches the target")
+                raise InvalidParameterError("no gamma0 reaches the target")
             return resolve(config, zero_target, seed)
 
         resolve = bench.resolve_setting_one_gamma0

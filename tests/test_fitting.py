@@ -303,6 +303,11 @@ class TestFitInterceptOnly:
         with pytest.raises(DegenerateDataError):
             fit_intercept_only(np.array([0, 1]), Flavor.HNB)
 
+    @pytest.mark.parametrize("flavor", [Flavor.HNB, Flavor.NB, Flavor.ZINB])
+    def test_negative_count_is_rejected(self, flavor):
+        with pytest.raises(ValueError, match="counts must be nonnegative"):
+            fit_intercept_only([-3, 0, 2, 5, 1], flavor)
+
 
 def _second_difference_information(y, X, Z, fit, step=1e-4):
     """Minus the Hessian of the log-likelihood by second differences of the

@@ -6,13 +6,11 @@ from scipy.special import expit, logit
 from scipy.stats import spearmanr
 
 from zicount import CorrKind, CorrelationSpec, Flavor
-from zicount.exceptions import InfeasibleTargetError, SelectionError
+from zicount.exceptions import SelectionError
 from zicount.synth import (
     Setting,
     SettingConfig,
     ar_correlation,
-    calibrate_gamma0,
-    calibrate_gamma0_structural,
     gd_covariance,
     gen_setting_one,
     gen_setting_three,
@@ -143,38 +141,41 @@ class TestGenSettingOne:
 class TestCalibrateGamma0:
     def test_hnb_no_covariate_effect_is_exact_logit(self):
         cfg = setting_one_config(Flavor.HNB, gamma0=0.0, gamma1=0.0)
-        assert calibrate_gamma0(cfg, 0.4, seed=0) == float(logit(0.4))
+        assert resolve_setting_one_gamma0(cfg, 0.4, seed=0) == (float(logit(0.4)), "total")
 
-    def test_zinb_below_floor_raises(self):
-        cfg = setting_one_config(Flavor.ZINB, gamma0=0.0)
-        # the NB zero floor for these parameters is ~0.266
-        with pytest.raises(InfeasibleTargetError):
-            calibrate_gamma0(cfg, 0.2, seed=0)
+    def test_zinb_structural_no_covariate_effect_is_exact_logit(self):
+        cfg = setting_one_config(Flavor.ZINB, gamma0=0.0, gamma1=0.0)
+        # 0.2 lies below the NB zero floor (~0.27), so only E[pi] can reach it
+        assert resolve_setting_one_gamma0(cfg, 0.2, seed=0) == (float(logit(0.2)), "structural")
 
     def test_hnb_calibration_hits_target_on_fresh_data(self):
         cfg = setting_one_config(Flavor.HNB, gamma0=0.0, n=100_000)
-        g0 = calibrate_gamma0(cfg, 0.40, seed=11)
+        g0, mode = resolve_setting_one_gamma0(cfg, 0.40, seed=11)
+        assert mode == "total"
         y, _ = gen_setting_one(SettingConfig(**{**cfg.__dict__, "gamma0": g0}), seed=12)
         assert abs(np.mean(y == 0) - 0.40) <= 0.01
 
     def test_zinb_calibration_hits_feasible_target(self):
         cfg = setting_one_config(Flavor.ZINB, gamma0=0.0, n=100_000)
-        g0 = calibrate_gamma0(cfg, 0.40, seed=13)
+        g0, mode = resolve_setting_one_gamma0(cfg, 0.40, seed=13)
+        assert mode == "total"
         y, _ = gen_setting_one(SettingConfig(**{**cfg.__dict__, "gamma0": g0}), seed=14)
         assert abs(np.mean(y == 0) - 0.40) <= 0.01
 
     def test_structural_fallback_resolution(self):
         cfg = setting_one_config(Flavor.ZINB, gamma0=0.0)
+        # the NB zero floor for these parameters is ~0.266
         g0, mode = resolve_setting_one_gamma0(cfg, 0.2, seed=0)
         assert mode == "structural"
-        assert g0 == pytest.approx(calibrate_gamma0_structural(cfg, 0.2, seed=0))
+        x = np.random.default_rng(99).standard_normal(200_000)
+        assert abs(np.mean(expit(g0 + cfg.gamma1 * x)) - 0.2) <= 0.005
         g0, mode = resolve_setting_one_gamma0(cfg, 0.4, seed=0)
         assert mode == "total"
 
     def test_validates_target(self):
         cfg = setting_one_config(Flavor.HNB, gamma0=0.0)
         with pytest.raises(ValueError):
-            calibrate_gamma0(cfg, 1.2, seed=0)
+            resolve_setting_one_gamma0(cfg, 1.2, seed=0)
 
 
 class TestGenSettingTwo:
