@@ -10,6 +10,7 @@ import csv
 import hashlib
 import itertools
 import json
+import math
 import operator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -112,7 +113,7 @@ def load_counts_csv(path) -> Dataset:
                     value = float(cell)
                 except ValueError:
                     raise ParseError(f"{path}: row {row_num}, column {col_num}: non-numeric cell {cell!r}") from None
-                if not np.isfinite(value) or value < 0:
+                if not math.isfinite(value) or value < 0:
                     raise ParseError(f"{path}: row {row_num}, column {col_num}: negative or non-finite cell {cell!r}")
                 if value != int(value):
                     raise ParseError(f"{path}: row {row_num}, column {col_num}: non-integer count {cell!r}")

@@ -69,7 +69,9 @@ class LatentCopulaModel:
     """Fitted truncated latent Gaussian copula.
 
     sigma_hat : latent correlation matrix (positive definite)
-    delta_hat : per-variable truncation levels on the Gaussian scale
+    delta_hat : per-variable truncation levels on the Gaussian scale; a
+        reported estimate that :func:`sample_tlnpn` does not read, since
+        the empirical marginals carry each variable's zero level
     marginals : sorted training values per variable, used as empirical
         quantile tables when sampling
     """

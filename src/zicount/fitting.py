@@ -36,6 +36,7 @@ __all__ = [
 # e^30 ~ 1.07e13 sits far above any count in scope
 _ETA_CLIP = 30.0
 _LOG_R_CLIP = 15.0
+_HISTOGRAM_CLIPS = np.array([_ETA_CLIP, _LOG_R_CLIP])
 # budget and tolerances of every L-BFGS-B run (on analytic gradients)
 _LBFGSB_OPTIONS = dict(maxiter=500, ftol=1e-9, gtol=1e-5)
 # central-difference step of the score in the observed information
@@ -228,17 +229,23 @@ def _minimize(fun, x0, args):
     Returns (x, negll, converged, trace); the trace holds the
     log-likelihood at the start and after every iteration. Raises
     InitializationError when the objective is not finite at ``x0`` or at
-    the end (the clips keep it finite on finite data).
+    the end (the clips keep it finite on finite data). The start value is
+    the run's own first evaluation, at ``x0``: no call outside ``nfev``.
     """
-    f0 = fun(x0, *args)[0]
-    if not np.isfinite(f0):
-        raise InitializationError("objective not finite at the starting point")
-    trace = [-f0]
+    trace = []
+
+    def checked(x, *a):
+        value, grad = fun(x, *a)
+        if not trace:
+            if not np.isfinite(value):
+                raise InitializationError("objective not finite at the starting point")
+            trace.append(-value)
+        return value, grad
 
     def cb(intermediate_result):
         trace.append(-intermediate_result.fun)
 
-    res = minimize(fun, x0, args=args, method="L-BFGS-B", jac=True, callback=cb, options=_LBFGSB_OPTIONS)
+    res = minimize(checked, x0, args=args, method="L-BFGS-B", jac=True, callback=cb, options=_LBFGSB_OPTIONS)
     if not np.isfinite(res.fun):
         raise InitializationError("objective not finite at the optimizer's end point")
     return res.x, float(res.fun), bool(res.success), np.asarray(trace)
@@ -258,18 +265,6 @@ def _result(coef: RegressionCoefficients, loglik, flavor: Flavor, ok, n: int, tr
     met its tolerances and the log-likelihood is finite."""
     k = coef.beta.size + coef.gamma.size + 1
     return RegressionFit(coef, float(loglik), k, flavor, bool(ok and np.isfinite(loglik)), n, traces)
-
-
-def _fit_hurdle(y, X, gamma, ok_gamma: bool, traces: tuple) -> RegressionFit:
-    """The hurdle fit given its zero model: the zero-truncated NB part on
-    the positive counts (shared design ``X``), then the full likelihood."""
-    pos = y > 0
-    if not pos.any():
-        raise DegenerateDataError("hurdle fit needs at least one positive count")
-    theta0 = np.append(_init_beta(y, X), 0.0)
-    x, _, ok, trace = _minimize(_ztnb_negll, theta0, (y[pos].astype(float), X[pos]))
-    coef = RegressionCoefficients(beta=x[:-1], gamma=gamma, log_r=_clip_log_r(x[-1]))
-    return _result(coef, hnb_loglik(y, X, coef), Flavor.HNB, ok_gamma and ok, len(y), traces + (trace,))
 
 
 def fit_regression(y, X, Z=None, flavor: Flavor = Flavor.ZINB) -> RegressionFit:
@@ -308,23 +303,42 @@ def fit_regression(y, X, Z=None, flavor: Flavor = Flavor.ZINB) -> RegressionFit:
     if flavor is Flavor.HNB:
         if not np.array_equal(Z, X, equal_nan=True):
             raise ValueError("the hurdle model uses one shared design; pass Z=None")
-        g, _, ok, trace = _minimize(_logistic_negll, np.zeros(q1), ((y == 0).astype(float), X))
-        return _fit_hurdle(y, X, g, ok, (trace,))
+        pos = y > 0
+        if not pos.any():
+            raise DegenerateDataError("hurdle fit needs at least one positive count")
+        g, _, ok_g, trace_g = _minimize(_logistic_negll, np.zeros(q1), ((y == 0).astype(float), X))
+        # the zero-truncated NB part on the positive counts, same design
+        theta0 = np.append(_init_beta(y, X), 0.0)
+        x, _, ok, trace = _minimize(_ztnb_negll, theta0, (y[pos].astype(float), X[pos]))
+        coef = RegressionCoefficients(beta=x[:-1], gamma=g, log_r=_clip_log_r(x[-1]))
+        return _result(coef, hnb_loglik(y, X, coef), flavor, ok_g and ok, n, (trace_g, trace))
     raise ValueError("fit_regression supports ZINB and HNB; use fit_intercept_only for NB")
 
 
-def _nb_negll(theta, y):
-    eta, in_eta = _clipped(theta[0], _ETA_CLIP)
-    log_r, in_r = _clipped(theta[-1], _LOG_R_CLIP)
-    log_nb, d_eta, d_log_r = _nb_logpmf(y, np.exp(eta), np.exp(log_r), score=True)
-    return -float(log_nb.sum()), -np.array([d_eta.sum() * in_eta, d_log_r.sum() * in_r])
+def _histogram(y):
+    """Distinct values of ``y`` with 0 first, and how often each occurs
+    (the count of 0 may be 0), both as floats."""
+    values, counts = np.unique(np.append(y, 0), return_counts=True)
+    counts[0] -= 1
+    return values.astype(float), counts.astype(float)
 
 
-def _moment_nb_init(y):
-    m = max(float(np.mean(y)), 1e-6)
-    v = float(np.var(y))
-    r = m * m / (v - m) if v > m else 100.0
-    return np.array([np.log(m), np.log(np.clip(r, 1e-3, 1e3))])
+def _histogram_negll(theta, values, counts, n_truncated):
+    """Intercept-only NB objective in (eta, log r) on a histogram:
+    ``counts[k]`` observations equal ``values[k]``, and ``values[0]`` is 0.
+    With ``n_truncated`` > 0 it is the zero-truncated NB of that many
+    positives (``counts[0]`` must then be 0); row 0 supplies NB(0)."""
+    (eta, log_r), inside = _clipped(theta, _HISTOGRAM_CLIPS)
+    log_nb, d_eta, d_log_r = _nb_logpmf(values, np.exp(eta), np.exp(log_r), score=True)
+    ll = counts @ log_nb
+    grad = np.array([counts @ d_eta, counts @ d_log_r])
+    if n_truncated:
+        # the clips keep 1 - NB(0) >= ~e^-30, so log_denom is finite
+        log_denom = np.log(-np.expm1(log_nb[0]))
+        ll -= n_truncated * log_denom
+        # d[-log(1 - NB(0))] = NB(0)/(1 - NB(0)) * d log NB(0)
+        grad += n_truncated * np.exp(log_nb[0] - log_denom) * np.array([d_eta[0], d_log_r[0]])
+    return -float(ll), -grad * inside
 
 
 def fit_intercept_only(y, flavor: Flavor) -> RegressionFit:
@@ -333,25 +347,38 @@ def fit_intercept_only(y, flavor: Flavor) -> RegressionFit:
     For HNB the zero part has the closed-form solution
     ``expit(gamma0) = mean(y == 0)``; the dispersion and mean still come
     from the truncated-NB optimization. NB (no zero model) is supported
-    for baseline comparisons.
+    for baseline comparisons. HNB and NB are fitted on the histogram of
+    ``y``, so an objective call costs O(distinct values), not O(n).
     """
     y = _check_counts(y)
     n = len(y)
     if n < 3:
         raise DegenerateDataError("need at least 3 observations")
-    ones = np.ones((n, 1))
 
     if flavor is Flavor.ZINB:
-        return fit_regression(y, ones, ones, Flavor.ZINB)
+        return fit_regression(y, np.ones((n, 1)), None, Flavor.ZINB)
 
+    values, counts = _histogram(y)
     if flavor is Flavor.HNB:
-        pi_hat = float(np.mean(y == 0))
+        n_zero, n_pos = counts[0], n - counts[0]
+        if not n_pos:
+            raise DegenerateDataError("hurdle fit needs at least one positive count")
         # keep the logit finite when the sample has no zeros (or none positive)
-        pi_clamped = min(max(pi_hat, 1.0 / (4.0 * n)), 1.0 - 1.0 / (4.0 * n))
-        return _fit_hurdle(y, ones, np.array([float(logit(pi_clamped))]), True, ())
+        pi_hat = min(max(n_zero / n, 1.0 / (4.0 * n)), 1.0 - 1.0 / (4.0 * n))
+        counts[0] = 0.0
+        # the start of the regression fit: mean log count of the positives
+        log_mean = np.clip(counts[1:] @ np.log(values[1:]) / n_pos, -10.0, 10.0)
+        x, negll, ok, trace = _minimize(_histogram_negll, np.array([log_mean, 0.0]), (values, counts, n_pos))
+        coef = RegressionCoefficients(beta=x[:1], gamma=[logit(pi_hat)], log_r=_clip_log_r(x[-1]))
+        loglik = n_zero * np.log(pi_hat) + n_pos * np.log1p(-pi_hat) - negll
+        return _result(coef, loglik, Flavor.HNB, ok, n, (trace,))
 
     # NB: moment initialization refined by MLE
-    x, negll, ok, trace = _minimize(_nb_negll, _moment_nb_init(y), (y.astype(float),))
+    mean = counts @ values / n
+    m, var = max(mean, 1e-6), counts @ (values - mean) ** 2 / n
+    r = m * m / (var - m) if var > m else 100.0
+    theta0 = np.array([np.log(m), np.log(np.clip(r, 1e-3, 1e3))])
+    x, negll, ok, trace = _minimize(_histogram_negll, theta0, (values, counts, 0))
     coef = RegressionCoefficients(beta=x[:1], gamma=np.empty(0), log_r=_clip_log_r(x[-1]))
     return _result(coef, -negll, Flavor.NB, ok, n, (trace,))
 

@@ -43,6 +43,13 @@ class TestLoadCountsCsv:
         with pytest.raises(ParseError, match=r"row 3, column 2"):
             load_counts_csv(path)
 
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "nan"])
+    def test_non_finite_entry_names_cell(self, tmp_path, cell):
+        path = tmp_path / "t.csv"
+        path.write_text(f"a,b,c\n0,1,2\n3,4,5\n6,7,{cell}\n")
+        with pytest.raises(ParseError, match=rf"row 4, column 3: negative or non-finite cell '{cell}'"):
+            load_counts_csv(path)
+
     def test_non_numeric_names_cell(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("a,b\n0,x\n")

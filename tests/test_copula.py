@@ -699,3 +699,13 @@ class TestSampleTlnpn:
 
     def test_deterministic(self, model):
         assert np.array_equal(sample_tlnpn(model, 50, seed=9), sample_tlnpn(model, 50, seed=9))
+
+    def test_delta_hat_is_not_read_by_the_sampler(self, model):
+        """delta_hat is a reported estimate; the empirical marginals carry
+        the zero levels."""
+        from zicount.copula import LatentCopulaModel
+
+        moved = LatentCopulaModel(
+            sigma_hat=model.sigma_hat, delta_hat=model.delta_hat + 1.5, marginals=model.marginals
+        )
+        assert np.array_equal(sample_tlnpn(moved, 200, seed=4), sample_tlnpn(model, 200, seed=4))

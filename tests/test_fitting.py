@@ -21,6 +21,7 @@ from zicount import (
     zinb_loglik,
     zinb_pmf,
 )
+from zicount import fitting
 from zicount.exceptions import (
     DegenerateDataError,
     IllConditionedDesignError,
@@ -31,8 +32,10 @@ from zicount.exceptions import (
 from zicount.fitting import (
     _ETA_CLIP,
     _LOG_R_CLIP,
+    _histogram,
+    _histogram_negll,
     _logistic_negll,
-    _nb_negll,
+    _minimize,
     _observed_information,
     _zinb_negll,
     _ztnb_negll,
@@ -308,6 +311,52 @@ class TestFitInterceptOnly:
         with pytest.raises(ValueError, match="counts must be nonnegative"):
             fit_intercept_only([-3, 0, 2, 5, 1], flavor)
 
+    @pytest.mark.parametrize("flavor", [Flavor.HNB, Flavor.NB])
+    def test_row_order_does_not_move_the_fit(self, flavor):
+        """The fit sees only the histogram of y, so a row permutation gives
+        the same bits."""
+        rng = np.random.default_rng(12)
+        y = np.where(rng.random(400) < 0.3, 0, rng.negative_binomial(0.8, 0.8 / 4.8, size=400))
+        fit = fit_intercept_only(y, flavor)
+        for seed in range(3):
+            other = fit_intercept_only(np.random.default_rng(seed).permutation(y), flavor)
+            assert other.loglik == fit.loglik
+            assert other.coefficients.log_r == fit.coefficients.log_r
+            np.testing.assert_array_equal(other.coefficients.beta, fit.coefficients.beta)
+            np.testing.assert_array_equal(other.coefficients.gamma, fit.coefficients.gamma)
+
+    @pytest.mark.parametrize("seed, mu, r, zero_share", [(5, 3.0, 0.7, 0.4), (6, 40.0, 2.5, 0.1), (7, 0.6, 5.0, 0.0)])
+    def test_hnb_loglik_matches_the_per_observation_likelihood(self, seed, mu, r, zero_share):
+        rng = np.random.default_rng(seed)
+        y = rng.negative_binomial(r, r / (r + mu), size=300)
+        y[rng.random(300) < zero_share] = 0
+        fit = fit_intercept_only(y, Flavor.HNB)
+        assert fit.converged and abs(fit.coefficients.log_r) < _LOG_R_CLIP
+        assert fit.loglik == pytest.approx(hnb_loglik(y, np.ones((len(y), 1)), fit.coefficients), abs=1e-9)
+
+
+def test_minimize_calls_its_objective_nfev_times(monkeypatch):
+    """The start value and its finiteness check come from the optimizer's
+    own first evaluation, so no objective call falls outside ``nfev``."""
+    runs, calls = [], []
+
+    def spy(*args, **kwargs):
+        runs.append(minimize(*args, **kwargs))
+        return runs[-1]
+
+    def objective(theta, *args):
+        calls.append(np.array(theta))
+        return _histogram_negll(theta, *args)
+
+    monkeypatch.setattr(fitting, "minimize", spy)
+    values, counts = _histogram(np.array([0, 0, 1, 2, 2, 3, 5, 8, 13, 0, 4]))
+    theta0 = np.array([0.5, 0.0])
+    _, negll, _, trace = _minimize(objective, theta0, (values, counts, 0))
+    assert len(runs) == 1 and len(calls) == runs[0].nfev
+    np.testing.assert_array_equal(calls[0], theta0)
+    assert trace[0] == -_histogram_negll(theta0, values, counts, 0)[0]
+    assert trace[-1] == -negll
+
 
 def _second_difference_information(y, X, Z, fit, step=1e-4):
     """Minus the Hessian of the log-likelihood by second differences of the
@@ -407,7 +456,7 @@ _near_or_inside = lambda clip: st.one_of(  # noqa: E731
 
 
 @given(
-    objective=st.sampled_from(["logistic", "zinb", "ztnb", "nb"]),
+    objective=st.sampled_from(["logistic", "zinb", "ztnb", "histogram", "histogram_truncated"]),
     column=st.sampled_from(["mixed", "all_zero", "no_zero"]),
     n=st.integers(3, 25),
     seed=st.integers(0, 2**31),
@@ -444,9 +493,14 @@ def test_objective_gradient_matches_central_difference(objective, column, n, see
         pos = y > 0
         fun, theta, args = _ztnb_negll, np.append(beta, log_r), (y[pos], X[pos])
         size = 2.0 * _nb_term_size(y[pos], X[pos] @ beta, log_r)
-    else:
-        fun, theta, args = _nb_negll, np.array([eta_mu, log_r]), (y,)
+    elif objective == "histogram":
+        fun, theta, args = _histogram_negll, np.array([eta_mu, log_r]), (*_histogram(y), 0)
         size = _nb_term_size(y, np.full(n, eta_mu), log_r)
+    else:
+        assume(column != "all_zero")
+        pos = y[y > 0]
+        fun, theta, args = _histogram_negll, np.array([eta_mu, log_r]), (*_histogram(pos), len(pos))
+        size = 2.0 * _nb_term_size(pos, np.full(len(pos), eta_mu), log_r)
     value, grad = fun(theta, *args)
     assert np.isfinite(value) and grad.shape == theta.shape
     if objective != "logistic" and abs(log_r) > _LOG_R_CLIP:
@@ -459,7 +513,7 @@ _extreme = st.one_of(st.sampled_from([-1e6, 0.0, 1e6]), st.floats(-1e6, 1e6))
 
 
 @given(
-    objective=st.sampled_from(["logistic", "zinb", "ztnb", "nb"]),
+    objective=st.sampled_from(["logistic", "zinb", "ztnb", "histogram", "histogram_truncated"]),
     theta=st.lists(_extreme, min_size=5, max_size=5),
     y=st.lists(st.integers(0, 10**6), min_size=1, max_size=20),
     seed=st.integers(0, 2**31),
@@ -475,7 +529,8 @@ def test_objectives_stay_finite_at_extreme_parameters(objective, theta, y, seed)
         "logistic": (_logistic_negll, theta[:2], ((y == 0).astype(float), X)),
         "zinb": (_zinb_negll, theta, (y, X, X)),
         "ztnb": (_ztnb_negll, theta[:3], (np.maximum(y, 1.0), X)),
-        "nb": (_nb_negll, theta[:2], (y,)),
+        "histogram": (_histogram_negll, theta[:2], (*_histogram(y), 0)),
+        "histogram_truncated": (_histogram_negll, theta[:2], (*_histogram(np.maximum(y, 1.0)), len(y))),
     }[objective]
     with np.errstate(over="raise", divide="raise", invalid="raise"):
         value, grad = fun(t, *args)
