@@ -13,7 +13,7 @@ import json
 import math
 import operator
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
@@ -256,25 +256,15 @@ class ExperimentConfig:
             raise ValueError(f"model 'hnb_cv' needs covariates, which {self.experiment.value} does not have")
         if spec.needs_source and not self.dataset:
             raise ValueError(f"{self.experiment.value} needs a dataset path (or 'standin')")
-        object.__setattr__(self, "grids", {k: list(v) for k, v in self.grids.items()})
+        object.__setattr__(self, "grids", grid)  # coerced once, in cell order
 
     def canonical(self) -> dict:
-        payload = {
-            "experiment": self.experiment.value,
-            "grids": {k: list(self.grids[k]) for k in sorted(self.grids)},
-            "replications": self.replications,
-            "folds": self.folds,
-            "n_splits": self.n_splits,
-            "seed": self.seed,
-            "order": self.order,
-            "models": list(self.models),
-            "dataset": self.dataset,
-            "rescale_exponent": self.rescale_exponent,
-            "n": self.n,
-            "qmc_points": self.qmc_points,
-            "collect_extras": self.collect_extras,
-            "estimator_revision": ESTIMATOR_REVISION,
-        }
+        """The fingerprinted payload: every field but the run-only ones,
+        plus the estimator revision."""
+        payload = asdict(self)
+        for key in _RUN_ONLY:
+            del payload[key]
+        payload.update(experiment=self.experiment.value, estimator_revision=ESTIMATOR_REVISION)
         return payload
 
     def fingerprint(self) -> str:
@@ -299,6 +289,9 @@ def _count(value) -> int:
         raise TypeError("a bool is not a count")
     return operator.index(value)
 
+
+# ExperimentConfig fields that change how a run is done, not its numbers
+_RUN_ONLY = ("out", "threads", "force")
 
 # (key, coerce, valid) of each checked ExperimentConfig field, as for the grids
 _SCALARS = (
@@ -381,15 +374,11 @@ def _models(config: ExperimentConfig) -> list:
     return [make_model(tag, config.qmc_points) for tag in config.models]
 
 
-def _setting_one_flavor(flavor_name: str) -> Flavor:
-    return Flavor.ZINB if flavor_name.lower() == "zinb" else Flavor.HNB
-
-
 def _calibrate_setting_one(config: ExperimentConfig, point: dict, source):
     """(gamma0, mode) of one setting-one grid point, or the exception that
     calibrating it raised. It depends on the config seed, n, flavor and
     zero target only, so every replication of the point shares it."""
-    base = setting_one_config(_setting_one_flavor(point["flavor"]), gamma0=0.0, n=config.n or 500)
+    base = setting_one_config(Flavor(point["flavor"]), gamma0=0.0, n=config.n or 500)
     cal_seed = _seed(config.seed, 11)
     try:
         return resolve_setting_one_gamma0(base, point["zero_target"], cal_seed)
@@ -406,7 +395,7 @@ def _run_setting_one_cell(config, point, replication, calibration):
         raise calibration
     gamma0, mode = calibration
     zero_target = point["zero_target"]
-    flavor = _setting_one_flavor(point["flavor"])
+    flavor = Flavor(point["flavor"])
     cfg = setting_one_config(flavor, gamma0=gamma0, n=config.n or 500)
     y, x = gen_setting_one(
         cfg, _seed(config.seed, 12, replication, int(round(zero_target * 1000)), int(flavor is Flavor.ZINB))
@@ -543,7 +532,7 @@ _ZERO_TARGET = ("zero_target", float, lambda v: 0.0 < v < 1.0)
 _SPECS = {
     Experiment.SETTING_ONE: _Spec(
         _run_setting_one_cell,
-        (_ZERO_TARGET, ("flavor", str, lambda v: v.lower() in ("zinb", "hnb"))),
+        (_ZERO_TARGET, ("flavor", lambda v: str(v).lower(), lambda v: v in ("zinb", "hnb"))),
         context=_calibrate_setting_one,
     ),
     Experiment.SETTING_ONE_DEFLATION: _Spec(_run_deflation_cell, (("pi_h", float, lambda v: 0.0 < v < 1.0),)),
@@ -566,9 +555,8 @@ def _cells(config: ExperimentConfig, source: Optional[Dataset]):
     point and replication; ``labels`` name a failed cell in the manifest."""
     spec = _SPECS[config.experiment]
     keys = [key for key, _, _ in spec.grid]
-    axes = [[coerce(v) for v in config.grids[key]] for key, coerce, _ in spec.grid]
     cells = []
-    for values in itertools.product(*axes):
+    for values in itertools.product(*(config.grids[key] for key in keys)):
         point = dict(zip(keys, values))
         context = spec.context(config, point, source) if spec.context else None
         for rep in range(config.replications if spec.replicated else 1):

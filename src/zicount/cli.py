@@ -40,8 +40,6 @@ from .synth import (
     gen_setting_two,
 )
 
-_EXPERIMENT_COMMANDS = [experiment.value for experiment in Experiment]
-
 
 def _add_run_flags(parser):
     parser.add_argument("--config", required=True, help="path to a flat JSON config")
@@ -56,9 +54,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="zicount", description="Zero-inflated count model benchmarks")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for command in _EXPERIMENT_COMMANDS:
-        sp = sub.add_parser(command, help=f"run the {command} experiment grid")
+    for experiment in Experiment:
+        sp = sub.add_parser(experiment.value, help=f"run the {experiment.value} experiment grid")
         _add_run_flags(sp)
+        sp.set_defaults(handler=_cmd_experiment)
 
     fp = sub.add_parser("fit", help="fit one model to a count table")
     fp.add_argument("--data", required=True, help="counts CSV (header + numeric rows)")
@@ -66,25 +65,30 @@ def build_parser() -> argparse.ArgumentParser:
     fp.add_argument("--column", type=int, default=0, help="response column index")
     fp.add_argument("--covariates", default=None, help="optional covariate CSV (same row count)")
     fp.add_argument("--out", default=None, help="write the JSON fit summary here instead of stdout")
+    fp.set_defaults(handler=_cmd_fit)
 
     sp = sub.add_parser("simulate", help="generate a synthetic dataset from a scenario")
     sp.add_argument("--scenario", choices=[setting.value for setting in Setting], required=True)
     sp.add_argument("--params", required=True, help="JSON file of scenario parameters")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", required=True, help="output CSV path")
+    sp.set_defaults(handler=_cmd_simulate)
 
     dp = sub.add_parser("distance", help="Wasserstein distance between two count tables")
     dp.add_argument("--a", required=True)
     dp.add_argument("--b", required=True)
     dp.add_argument("--order", type=int, choices=[1, 2], default=1)
+    dp.set_defaults(handler=_cmd_distance)
 
     rp = sub.add_parser("report", help="derive summary tables from a results directory")
     rp.add_argument("--results", required=True)
     rp.add_argument("--format", choices=["csv", "json"], default="csv")
+    rp.set_defaults(handler=_cmd_report)
 
     st = sub.add_parser("standin", help="write the bundled synthetic microbiome-like table")
     st.add_argument("--out", required=True)
     st.add_argument("--seed", type=int, default=7)
+    st.set_defaults(handler=_cmd_standin)
     return parser
 
 
@@ -93,16 +97,16 @@ def _write_dataset_csv(path, values, names):
     _write_csv(path, rows, fieldnames=list(names))
 
 
-def _cmd_experiment(command: str, args) -> int:
+def _cmd_experiment(args) -> int:
     config = config_from_json(
         args.config,
         seed=args.seed,
         out=args.out,
         threads=args.threads,
     )
-    if config.experiment is not Experiment(command):
+    if config.experiment is not Experiment(args.command):
         print(
-            f"error: config is for {config.experiment.value!r}, not {command!r}",
+            f"error: config is for {config.experiment.value!r}, not {args.command!r}",
             file=sys.stderr,
         )
         return 2
@@ -122,6 +126,8 @@ def _cmd_experiment(command: str, args) -> int:
 
 def _cmd_fit(args) -> int:
     data = load_counts_csv(args.data)
+    if not 0 <= args.column < data.p:
+        raise ValueError(f"--column {args.column} is outside [0, {data.p}) for {args.data}")
     y = data.values[:, args.column].astype(np.int64)
     flavor = Flavor(args.model)
     if args.covariates is not None:
@@ -248,18 +254,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command in _EXPERIMENT_COMMANDS:
-            code = _cmd_experiment(args.command, args)
-        elif args.command == "fit":
-            code = _cmd_fit(args)
-        elif args.command == "simulate":
-            code = _cmd_simulate(args)
-        elif args.command == "distance":
-            code = _cmd_distance(args)
-        elif args.command == "report":
-            code = _cmd_report(args)
-        else:
-            code = _cmd_standin(args)
+        code = args.handler(args)
     except (ZicountError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = 1

@@ -6,12 +6,13 @@ levels. The latent correlation is recovered by inverting the bridge
 function that maps a latent correlation (plus the two truncation levels)
 to the population Kendall's tau of the observed pair.
 
-Four-dimensional Gaussian orthant probabilities are computed with Genz's
-separation-of-variables reduction to a 3-d integral over the unit cube,
-evaluated by randomized quasi-Monte Carlo with a fixed internal seed, so
-every function here is deterministic. :func:`phi4` is the generic 4-d
-CDF; the bridge has one closed-form kernel (:func:`_tt_bridge`) and one
-root finder (:func:`_invert_bridge_batch`). :func:`bridge_tt` and
+The bridge of a truncated pair is a difference of two 4-d Gaussian
+CDFs (Yoon, Carroll & Gaynanova 2020). Its one kernel, :func:`_tt_bridge`,
+runs Genz's separation-of-variables reduction to a 3-d integral over the
+unit cube on closed-form Cholesky factors of the bridge's two
+correlation matrices, by randomized quasi-Monte Carlo with a fixed
+internal seed, so every function here is deterministic. It has one root
+finder, :func:`_invert_bridge_batch`. :func:`bridge_tt` and
 :func:`invert_bridge` evaluate and invert one pair exactly;
 :func:`fit_tlnpn` reads most roots off the packaged bridge table
 (:mod:`zicount.bridge_table`) and sends the rest to the root finder.
@@ -39,7 +40,6 @@ __all__ = [
     "LatentCopulaModel",
     "kendall_tau_matrix",
     "zero_truncation_levels",
-    "phi4",
     "bridge_tt",
     "invert_bridge",
     "fit_tlnpn",
@@ -47,7 +47,6 @@ __all__ = [
     "nearest_correlation",
 ]
 
-_ROOT2 = np.sqrt(2.0)
 _QMC_SEED = 202406
 _SIGMA_BRACKET = 0.9999
 _TINY = 1e-300
@@ -123,100 +122,6 @@ def zero_truncation_levels(data) -> np.ndarray:
     pi_hat = np.mean(Y == 0, axis=0)
     lo = 1.0 / (4.0 * n)
     return ndtri(np.clip(pi_hat, lo, 1.0 - lo))
-
-
-def _cholesky_or_raise(sigma):
-    sigma = np.asarray(sigma, dtype=float)
-    if sigma.shape[0] != sigma.shape[1] or not np.allclose(sigma, sigma.T, atol=1e-10):
-        raise InvalidCorrelationError("correlation matrix must be symmetric")
-    try:
-        return np.linalg.cholesky(sigma)
-    except np.linalg.LinAlgError as exc:
-        raise InvalidCorrelationError("correlation matrix is not positive definite") from exc
-
-
-def _genz_means(a, chol, w):
-    """Genz recursion for P(X <= a) given Cholesky factor and uniforms w.
-
-    a : (d,) finite upper limits, chol : (d, d), w : (n, d-1).
-    Returns the integrand evaluated at each QMC point.
-    """
-    d = len(a)
-    e = ndtr(a[0] / chol[0, 0])
-    prod = np.full(w.shape[0], e)
-    y = np.empty((w.shape[0], d - 1))
-    for i in range(1, d):
-        y[:, i - 1] = ndtri(np.clip(w[:, i - 1] * e, _TINY, 1.0 - _UEPS))
-        num = a[i] - y[:, :i] @ chol[i, :i]
-        e = ndtr(num / chol[i, i])
-        prod *= e
-    return prod
-
-
-def phi4(a, sigma4, tol: float = 1e-6) -> float:
-    """CDF of a zero-mean 4-d Gaussian with correlation ``sigma4`` at ``a``.
-
-    Infinite limits are allowed: +inf coordinates are marginalized out and
-    any -inf yields 0. The randomized QMC estimate uses scrambled Sobol
-    batches with an internal fixed seed; batch size doubles until the
-    3-sigma error estimate drops below ``tol`` or the point budget
-    (2e5) is spent.
-    """
-    a = np.asarray(a, dtype=float)
-    sigma4 = np.asarray(sigma4, dtype=float)
-    if a.shape != (4,) or sigma4.shape != (4, 4):
-        raise ValueError("phi4 expects a 4-vector and a 4x4 matrix")
-    _cholesky_or_raise(sigma4)
-
-    if np.any(np.isneginf(a)):
-        return 0.0
-    keep = ~np.isposinf(a)
-    if not keep.any():
-        return 1.0
-    a = a[keep]
-    sig = sigma4[np.ix_(keep, keep)]
-    if len(a) == 1:
-        return float(ndtr(a[0] / np.sqrt(sig[0, 0])))
-
-    # most restrictive variable first improves the conditional decomposition
-    order = np.argsort(a)
-    chol = np.linalg.cholesky(sig[np.ix_(order, order)])
-    a = a[order]
-
-    d = len(a)
-    n_batches = 8
-    n = 2048
-    total = 0
-    seed = _QMC_SEED
-    while True:
-        means = np.empty(n_batches)
-        for b in range(n_batches):
-            w = qmc.Sobol(d - 1, scramble=True, seed=seed + b).random(n)
-            means[b] = _genz_means(a, chol, w).mean()
-        est = float(means.mean())
-        err = 3.0 * float(means.std(ddof=1)) / np.sqrt(n_batches)
-        total += n_batches * n
-        if err <= tol or total >= 200_000:
-            return est
-        n *= 2
-        seed += 1009
-
-
-def _sigma4_pair(s):
-    """The two 4x4 correlation matrices of the truncated/truncated bridge.
-
-    An array ``s`` gives two ``s.shape + (4, 4)`` stacks.
-    """
-    s = np.asarray(s, dtype=float)
-    one, zero = np.ones_like(s), np.zeros_like(s)
-    c, h = one / _ROOT2, s / _ROOT2
-
-    def build(rows):
-        return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
-
-    s4a = build([[one, zero, c, -h], [zero, one, -h, c], [c, -h, one, -s], [-h, c, -s, one]])
-    s4b = build([[one, s, c, h], [s, one, h, c], [c, h, one, s], [h, c, s, one]])
-    return s4a, s4b
 
 
 def bridge_tt(sigma_jk: float, delta_j: float, delta_k: float) -> float:
@@ -301,8 +206,13 @@ def _tt_bridge(block: _TTBlock, sig, w) -> np.ndarray:
     """Bridge value of every pair of ``block`` at its latent correlation
     in ``sig``: one kernel evaluation per pair.
 
-    With c = 1/sqrt(2) and q = sqrt(1 - s^2), the Cholesky factors of
-    Sigma4a(s) and Sigma4b(s) (:func:`_sigma4_pair`) are, in closed form,
+    With c = 1/sqrt(2), the bridge is -2 Phi4(l; Sigma4a) + 2 Phi4(l; Sigma4b)
+    at the limits l = (-dj, -dk, 0, 0), where
+
+        Sigma4a = [[1, 0, c, -sc], [0, 1, -sc, c], [c, -sc, 1, -s], [-sc, c, -s, 1]]
+        Sigma4b = [[1, s, c, sc], [s, 1, sc, c], [c, sc, 1, s], [sc, c, s, 1]]
+
+    With q = sqrt(1 - s^2), their Cholesky factors are, in closed form,
 
         La = [[1, 0, 0, 0], [0, 1, 0, 0], [c, -sc, qc, 0], [-sc, c, 0, qc]]
         Lb = [[1, 0, 0, 0], [s, q, 0, 0], [c, 0, c, 0], [sc, qc, sc, qc]]

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -174,6 +175,38 @@ class TestExperimentConfig:
             grids={"flavor": ["zinb"], "zero_target": [0.4]},
         )
         assert a.fingerprint() == b.fingerprint()
+
+    def test_fingerprint_covers_every_field_but_the_run_options(self):
+        grids = {"beta1": [0.0], "gamma0": [-2.0], "gamma1": [0.0], "rho": [0.5], "corr": ["AR"]}
+        base = ExperimentConfig(experiment=Experiment.SETTING_TWO, grids=grids)
+        run_only = {"out": "elsewhere", "threads": 2, "force": True}
+        changes = {
+            "grids": dict(grids, rho=[0.6]),
+            "replications": 2,
+            "folds": 3,
+            "n_splits": 7,
+            "seed": 1,
+            "order": 2,
+            "models": ("hnb",),
+            "dataset": "standin",
+            "rescale_exponent": 0.5,
+            "n": 100,
+            "qmc_points": 512,
+            "collect_extras": True,
+        }
+        names = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        assert set(changes) == names - set(run_only) - {"experiment"}
+        assert set(base.canonical()) == names - set(run_only) | {"estimator_revision"}
+        for key, value in changes.items():
+            assert dataclasses.replace(base, **{key: value}).fingerprint() != base.fingerprint(), key
+        for key, value in run_only.items():
+            assert dataclasses.replace(base, **{key: value}).fingerprint() == base.fingerprint(), key
+
+    def test_grid_values_are_stored_coerced(self):
+        config = ExperimentConfig(experiment=Experiment.SETTING_ONE, grids={"zero_target": ["0.5"], "flavor": ["ZINB"]})
+        assert config.grids == {"zero_target": [0.5], "flavor": ["zinb"]}
+        shipped = ExperimentConfig(experiment=Experiment.SETTING_ONE, grids={"zero_target": [0.5], "flavor": ["zinb"]})
+        assert config.fingerprint() == shipped.fingerprint()
 
     def test_real_data_needs_dataset(self):
         with pytest.raises(ValueError, match="dataset"):

@@ -61,6 +61,14 @@ class TestFitCommand:
         assert payload["converged"] is True
         assert payload["aic"] == 2 * payload["n_params"] - 2 * payload["loglik"]
 
+    @pytest.mark.parametrize("column", [3, -1])
+    def test_column_outside_the_table_is_error(self, counts_csv, capsys, column):
+        assert main(["fit", "--data", str(counts_csv), "--model", "hnb", "--column", str(column)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: --column {column} is outside [0, 3)")
+        assert len(captured.err.splitlines()) == 1
+
     def test_fit_writes_file(self, counts_csv, tmp_path):
         out = tmp_path / "fit.json"
         assert main(["fit", "--data", str(counts_csv), "--model", "nb", "--out", str(out)]) == 0
