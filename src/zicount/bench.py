@@ -13,7 +13,7 @@ import json
 import math
 import operator
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
@@ -24,7 +24,7 @@ from scipy.special import logit
 from . import __version__
 from .counts import Flavor
 from .evaluate import _MODEL_TAGS, EvalReport, kfold_cv, make_model, random_split_eval
-from .exceptions import ParseError, SelectionError
+from .exceptions import ParseError
 from .fitting import fit_regression
 from .synth import (
     CorrKind,
@@ -36,7 +36,6 @@ from .synth import (
     gen_setting_three,
     gen_setting_two,
     resolve_setting_one_gamma0,
-    select_columns_by_zero_fraction,
     setting_one_config,
     setting_one_deflation_config,
     setting_two_config,
@@ -48,7 +47,6 @@ __all__ = [
     "ExperimentConfig",
     "load_counts_csv",
     "rescale_power",
-    "select_by_zero_proportion",
     "make_qmp_standin",
     "run_experiment",
     "emit_report",
@@ -82,9 +80,6 @@ class Dataset:
     @property
     def p(self) -> int:
         return self.values.shape[1]
-
-    def zero_fractions(self) -> np.ndarray:
-        return np.mean(self.values == 0, axis=0)
 
 
 def load_counts_csv(path) -> Dataset:
@@ -130,21 +125,6 @@ def rescale_power(data: Dataset, exponent: float) -> Dataset:
         raise ValueError("exponent must lie in (0, 1]")
     values = np.round(np.power(data.values, exponent))
     return Dataset(values=values, variable_names=data.variable_names, provenance=data.provenance + (f"power({exponent})",))
-
-
-def select_by_zero_proportion(data: Dataset, targets, p_out: int) -> Dataset:
-    """Keep the p_out columns whose zero fractions sit nearest the targets."""
-    targets = np.asarray(targets, dtype=float)
-    if len(targets) != p_out:
-        raise ValueError("need exactly one target per selected column")
-    if p_out > data.p:
-        raise SelectionError(f"cannot select {p_out} of {data.p} columns")
-    cols = select_columns_by_zero_fraction(data.values, targets)
-    return Dataset(
-        values=data.values[:, cols],
-        variable_names=tuple(data.variable_names[c] for c in cols),
-        provenance=data.provenance + (f"select_zero_proportion({list(np.round(targets, 4))})",),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +194,12 @@ ESTIMATOR_REVISION = 1
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment: a grid, a replication budget, and run options."""
+    """One experiment: a grid, a replication budget, and run options.
+
+    A field that the experiment does not read (see ``_Spec.keys``) may only
+    hold its default, so a setting that does nothing cannot enter the
+    fingerprint.
+    """
 
     experiment: Experiment
     grids: dict = field(default_factory=dict)
@@ -252,9 +237,13 @@ class ExperimentConfig:
                     _corr_spec(self, {"corr": corr, "rho": rho})
                 except ValueError as exc:
                     raise ValueError(f"grid pair corr={corr!r}, rho={rho!r}: {exc}") from None
-        if spec.needs_source and "hnb_cv" in self.models:  # a source table has no covariates
+        read = spec.keys + _ALWAYS_READ
+        unread = [f.name for f in fields(self) if f.name not in read and getattr(self, f.name) != f.default]
+        if unread:
+            raise ValueError(f"{self.experiment.value} does not read config keys {unread}")
+        if "dataset" in spec.keys and "hnb_cv" in self.models:  # a source table has no covariates
             raise ValueError(f"model 'hnb_cv' needs covariates, which {self.experiment.value} does not have")
-        if spec.needs_source and not self.dataset:
+        if "dataset" in spec.keys and not self.dataset:
             raise ValueError(f"{self.experiment.value} needs a dataset path (or 'standin')")
         object.__setattr__(self, "grids", grid)  # coerced once, in cell order
 
@@ -293,6 +282,9 @@ def _count(value) -> int:
 # ExperimentConfig fields that change how a run is done, not its numbers
 _RUN_ONLY = ("out", "threads", "force")
 
+# fields every experiment reads; each _Spec lists the others it reads
+_ALWAYS_READ = ("experiment", "grids", "seed") + _RUN_ONLY
+
 # (key, coerce, valid) of each checked ExperimentConfig field, as for the grids
 _SCALARS = (
     ("replications", _count, lambda v: v >= 1),
@@ -303,6 +295,7 @@ _SCALARS = (
     ("threads", _count, lambda v: v >= 1),
     ("n", lambda v: v if v is None else _count(v), lambda v: v is None or v >= 1),
     ("qmc_points", _count, lambda v: v >= 1),
+    ("rescale_exponent", lambda v: v if v is None else float(v), lambda v: v is None or 0.0 < v <= 1.0),
     # a nonempty list of unique tags that make_model knows
     ("models", tuple, lambda v: v and len(set(v)) == len(v) and set(v) <= set(_MODEL_TAGS)),
 )
@@ -512,21 +505,25 @@ class _Spec(NamedTuple):
     order: the nesting of the expansion, the cell key that leads the rows,
     the ``hash_cell`` arguments and a failed cell's manifest ``args`` all
     follow it. ``context(config, point, source)`` is computed once per grid
-    point and shared by its replications; ``needs_source`` experiments read
-    ``config.dataset``; ``replicated=False`` runs one cell per point
-    whatever ``config.replications`` says.
+    point and shared by its replications. ``keys`` names the config fields
+    the experiment reads besides ``_ALWAYS_READ``; a config that sets any
+    other field is refused. An experiment that reads ``dataset`` runs on a
+    source table, and one that does not read ``replications`` runs one cell
+    per grid point.
     """
 
     worker: Callable
     grid: tuple = ()
     context: Optional[Callable] = None
-    needs_source: bool = False
-    replicated: bool = True
+    keys: tuple = ()
 
 
 _CORR = ("corr", lambda v: str(v).upper(), lambda v: v in ("AR", "GD"))
 _RHO = ("rho", float, np.isfinite)  # its range per corr is checked by CorrelationSpec
 _ZERO_TARGET = ("zero_target", float, lambda v: 0.0 < v < 1.0)
+_SIMULATED = ("replications", "n")  # keys of the experiments that generate data
+_CV = ("folds", "models", "qmc_points", "order", "collect_extras")
+_SOURCE = ("dataset", "rescale_exponent")
 
 
 _SPECS = {
@@ -534,19 +531,21 @@ _SPECS = {
         _run_setting_one_cell,
         (_ZERO_TARGET, ("flavor", lambda v: str(v).lower(), lambda v: v in ("zinb", "hnb"))),
         context=_calibrate_setting_one,
+        keys=_SIMULATED,
     ),
-    Experiment.SETTING_ONE_DEFLATION: _Spec(_run_deflation_cell, (("pi_h", float, lambda v: 0.0 < v < 1.0),)),
+    Experiment.SETTING_ONE_DEFLATION: _Spec(_run_deflation_cell, (("pi_h", float, lambda v: 0.0 < v < 1.0),), keys=_SIMULATED),
     Experiment.SETTING_TWO: _Spec(
         _run_setting_two_cell,
         (_CORR, _RHO, ("beta1", float, np.isfinite), ("gamma0", float, np.isfinite), ("gamma1", float, np.isfinite)),
+        keys=_SIMULATED + _CV,
     ),
     Experiment.SETTING_THREE: _Spec(
         _run_setting_three_cell,
         (_CORR, _RHO, _ZERO_TARGET, ("transform", str, lambda v: v in ("none", "sqrt"))),
         context=_source_values,
-        needs_source=True,
+        keys=_SIMULATED + _CV + _SOURCE,
     ),
-    Experiment.REAL_DATA: _Spec(_run_real_data_cell, context=_source_values, needs_source=True, replicated=False),
+    Experiment.REAL_DATA: _Spec(_run_real_data_cell, context=_source_values, keys=("n_splits",) + _CV + _SOURCE),
 }
 
 
@@ -555,12 +554,13 @@ def _cells(config: ExperimentConfig, source: Optional[Dataset]):
     point and replication; ``labels`` name a failed cell in the manifest."""
     spec = _SPECS[config.experiment]
     keys = [key for key, _, _ in spec.grid]
+    replicated = "replications" in spec.keys
     cells = []
     for values in itertools.product(*(config.grids[key] for key in keys)):
         point = dict(zip(keys, values))
         context = spec.context(config, point, source) if spec.context else None
-        for rep in range(config.replications if spec.replicated else 1):
-            labels = [str(v) for v in values] + ([str(rep)] if spec.replicated else [])
+        for rep in range(config.replications if replicated else 1):
+            labels = [str(v) for v in values] + ([str(rep)] if replicated else [])
             cells.append((spec.worker, (config, point, rep, context), labels))
     return cells
 
@@ -606,7 +606,7 @@ def run_experiment(config: ExperimentConfig) -> Path:
             return out
     out.mkdir(parents=True, exist_ok=True)
 
-    source = _load_source(config.dataset, config.rescale_exponent) if _SPECS[config.experiment].needs_source else None
+    source = _load_source(config.dataset, config.rescale_exponent) if "dataset" in _SPECS[config.experiment].keys else None
 
     cells = _cells(config, source)
     if not cells:

@@ -23,7 +23,6 @@ from .bench import (
     emit_report,
     load_counts_csv,
     make_qmp_standin,
-    read_results,
     run_experiment,
 )
 from .counts import Flavor

@@ -20,11 +20,10 @@ from zicount.bench import (
     read_results,
     rescale_power,
     run_experiment,
-    select_by_zero_proportion,
 )
 from zicount.counts import Flavor
 from zicount.evaluate import EvalRecord, EvalReport
-from zicount.exceptions import InvalidParameterError, ParseError, SelectionError
+from zicount.exceptions import InvalidParameterError, ParseError
 from zicount.synth import resolve_setting_one_gamma0, setting_one_config
 
 mpmath.mp.dps = 50
@@ -98,30 +97,13 @@ class TestRescalePower:
         with pytest.raises(ValueError):
             rescale_power(data, 1.5)
 
-
-class TestSelectByZeroProportion:
-    def test_exact_match_selection(self):
-        values = np.zeros((10, 3))
-        values[: 2, 0] = 1.0  # 80% zeros
-        values[: 5, 1] = 1.0  # 50% zeros
-        values[: 9, 2] = 1.0  # 10% zeros
-        data = Dataset(values, ("a", "b", "c"))
-        out = select_by_zero_proportion(data, [0.1, 0.8], 2)
-        assert out.variable_names == ("c", "a")
-
-    def test_requires_enough_columns(self):
-        data = Dataset(np.zeros((4, 2)), ("a", "b"))
-        with pytest.raises(SelectionError):
-            select_by_zero_proportion(data, [0.1, 0.2, 0.3], 3)
-
     def test_pipeline_provenance_is_ordered(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("a,b,c\n0,1,4\n2,0,9\n0,3,16\n")
         data = load_counts_csv(path)
         data = rescale_power(data, 0.5)
-        data = select_by_zero_proportion(data, [0.0], 1)
         kinds = [p.split("(")[0] for p in data.provenance]
-        assert kinds == ["load", "power", "select_zero_proportion"]
+        assert kinds == ["load", "power"]
 
 
 class TestStandin:
@@ -131,7 +113,7 @@ class TestStandin:
 
     def test_zero_fraction_quartiles_match_reference_values(self):
         data = make_qmp_standin()
-        zf = np.sort(data.zero_fractions())
+        zf = np.sort(np.mean(data.values == 0, axis=0))
         quartiles = np.quantile(zf, [0.25, 0.5, 0.75, 1.0])
         assert quartiles == pytest.approx([0.037, 0.289, 0.578, 0.793], abs=5e-4)
 
@@ -144,6 +126,28 @@ class TestStandin:
         data = make_qmp_standin()
         pos = data.values[data.values > 0]
         assert np.mean(pos) > 3 * np.median(pos)
+
+
+# (grid, a change of that grid, the non-grid keys read) of each experiment
+READ_KEYS = {
+    Experiment.SETTING_ONE: ({"zero_target": [0.4], "flavor": ["zinb"]}, {"zero_target": [0.5]}, ("replications", "n")),
+    Experiment.SETTING_ONE_DEFLATION: ({"pi_h": [0.3]}, {"pi_h": [0.4]}, ("replications", "n")),
+    Experiment.SETTING_TWO: (
+        {"beta1": [0.0], "gamma0": [-2.0], "gamma1": [0.0], "rho": [0.5], "corr": ["AR"]},
+        {"rho": [0.6]},
+        ("replications", "n", "folds", "models", "qmc_points", "order", "collect_extras"),
+    ),
+    Experiment.SETTING_THREE: (
+        {"rho": [0.5], "zero_target": [0.4], "transform": ["none"], "corr": ["AR"]},
+        {"rho": [0.6]},
+        ("replications", "n", "folds", "models", "qmc_points", "order", "collect_extras", "dataset", "rescale_exponent"),
+    ),
+    Experiment.REAL_DATA: (
+        {},
+        None,
+        ("n_splits", "folds", "models", "qmc_points", "order", "collect_extras", "dataset", "rescale_exponent"),
+    ),
+}
 
 
 class TestExperimentConfig:
@@ -176,31 +180,46 @@ class TestExperimentConfig:
         )
         assert a.fingerprint() == b.fingerprint()
 
-    def test_fingerprint_covers_every_field_but_the_run_options(self):
-        grids = {"beta1": [0.0], "gamma0": [-2.0], "gamma1": [0.0], "rho": [0.5], "corr": ["AR"]}
-        base = ExperimentConfig(experiment=Experiment.SETTING_TWO, grids=grids)
+    @pytest.mark.parametrize("experiment", list(Experiment))
+    def test_fingerprint_covers_the_keys_each_experiment_reads(self, experiment):
+        grids, moved_grid, reads = READ_KEYS[experiment]
+        source = {"dataset": "standin"} if "dataset" in reads else {}
+        base = ExperimentConfig(experiment=experiment, grids=grids, **source)
         run_only = {"out": "elsewhere", "threads": 2, "force": True}
         changes = {
-            "grids": dict(grids, rho=[0.6]),
             "replications": 2,
             "folds": 3,
             "n_splits": 7,
-            "seed": 1,
             "order": 2,
             "models": ("hnb",),
-            "dataset": "standin",
+            "dataset": "other.csv",
             "rescale_exponent": 0.5,
             "n": 100,
             "qmc_points": 512,
             "collect_extras": True,
         }
         names = {f.name for f in dataclasses.fields(ExperimentConfig)}
-        assert set(changes) == names - set(run_only) - {"experiment"}
+        assert set(changes) == names - set(run_only) - {"experiment", "grids", "seed"}
         assert set(base.canonical()) == names - set(run_only) | {"estimator_revision"}
-        for key, value in changes.items():
+        moves = {"seed": 1, **{key: changes[key] for key in reads}}
+        if moved_grid:
+            moves["grids"] = dict(grids, **moved_grid)
+        for key, value in moves.items():
             assert dataclasses.replace(base, **{key: value}).fingerprint() != base.fingerprint(), key
+        for key in set(changes) - set(reads):
+            with pytest.raises(ValueError, match=rf"{experiment.value} does not read config keys \['{key}'\]"):
+                dataclasses.replace(base, **{key: changes[key]})
         for key, value in run_only.items():
             assert dataclasses.replace(base, **{key: value}).fingerprint() == base.fingerprint(), key
+
+    def test_unread_keys_are_named_together(self):
+        with pytest.raises(ValueError, match=r"setting-one-deflation does not read config keys \['folds', 'dataset'\]"):
+            ExperimentConfig(experiment=Experiment.SETTING_ONE_DEFLATION, grids={"pi_h": [0.3]}, folds=3, dataset="nope.csv")
+
+    @pytest.mark.parametrize("exponent", [5.0, -1])
+    def test_rejects_rescale_exponent_outside_unit_interval(self, exponent):
+        with pytest.raises(ValueError, match=rf"config value {exponent} out of range for 'rescale_exponent'"):
+            ExperimentConfig(experiment=Experiment.REAL_DATA, dataset="standin", rescale_exponent=exponent)
 
     def test_grid_values_are_stored_coerced(self):
         config = ExperimentConfig(experiment=Experiment.SETTING_ONE, grids={"zero_target": ["0.5"], "flavor": ["ZINB"]})
@@ -237,8 +256,9 @@ class TestExperimentConfig:
         ],
     )
     def test_rejects_corr_rho_pair_outside_the_spec_range(self, experiment, grids):
+        source = "standin" if experiment is Experiment.SETTING_THREE else None
         with pytest.raises(ValueError, match="grid pair corr="):
-            ExperimentConfig(experiment=experiment, grids=grids, dataset="standin")
+            ExperimentConfig(experiment=experiment, grids=grids, dataset=source)
 
 
 def deflation_config(tmp_path, **kw):
@@ -399,22 +419,25 @@ class TestRunExperiment:
 
 
 def tiny_config(experiment, out, counts_path):
-    """The smallest config of each experiment kind that still runs every stage."""
-    base = dict(out=str(out), seed=2, folds=3, n=90, qmc_points=256)
+    """The smallest config of each experiment kind that still runs every
+    stage; each gets only the keys it reads."""
+    base = dict(out=str(out), seed=2)
+    cv = dict(base, folds=3, qmc_points=256)
     return ExperimentConfig(
         experiment=experiment,
         **{
-            Experiment.SETTING_ONE: dict(base, grids={"zero_target": [0.4], "flavor": ["zinb"]}),
+            Experiment.SETTING_ONE: dict(base, grids={"zero_target": [0.4], "flavor": ["zinb"]}, n=90),
             Experiment.SETTING_ONE_DEFLATION: dict(base, grids={"pi_h": [0.3]}, n=150),
             Experiment.SETTING_TWO: dict(
-                base, grids={"beta1": [0.0], "gamma0": [-2.0], "gamma1": [0.0], "rho": [0.5], "corr": ["AR"]}
+                cv, grids={"beta1": [0.0], "gamma0": [-2.0], "gamma1": [0.0], "rho": [0.5], "corr": ["AR"]}, n=90
             ),
             Experiment.SETTING_THREE: dict(
-                base,
+                cv,
                 grids={"rho": [0.5], "zero_target": [0.4], "transform": ["none"], "corr": ["AR"]},
+                n=90,
                 dataset="standin",
             ),
-            Experiment.REAL_DATA: dict(base, n=None, n_splits=1, dataset=str(counts_path)),
+            Experiment.REAL_DATA: dict(cv, n_splits=1, dataset=str(counts_path)),
         }[experiment],
     )
 

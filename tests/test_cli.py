@@ -215,7 +215,9 @@ class TestExperimentCommands:
     )
     def test_corr_rho_pair_out_of_range_is_error(self, tmp_path, capsys, experiment, grids):
         cfg_path = tmp_path / "cfg.json"
-        cfg = {"experiment": experiment, "grids": grids, "dataset": "standin", "n": 60, "out": str(tmp_path / "res")}
+        cfg = {"experiment": experiment, "grids": grids, "n": 60, "out": str(tmp_path / "res")}
+        if experiment == "setting-three":
+            cfg["dataset"] = "standin"
         cfg_path.write_text(json.dumps(cfg))
         assert main([experiment, "--config", str(cfg_path)]) == 1
         assert "error: grid pair corr='GD', rho=-0.5: GD requires 0 < rho < 1" in capsys.readouterr().err
@@ -243,6 +245,19 @@ class TestExperimentCommands:
         captured = capsys.readouterr()
         assert "1 failed" in captured.out
         assert ("failed cell" in captured.err) == (code == 3)
+
+    def test_key_the_experiment_does_not_read_is_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg = {
+            "experiment": "setting-one",
+            "grids": {"zero_target": [0.4], "flavor": ["zinb"]},
+            "folds": 3,
+            "out": str(tmp_path / "res"),
+        }
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["setting-one", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err == "error: setting-one does not read config keys ['folds']\n"
+        assert not (tmp_path / "res").exists()
 
     def test_allow_partial_is_not_a_config_key(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
