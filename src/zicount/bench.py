@@ -296,6 +296,10 @@ _SCALARS = (
     ("n", lambda v: v if v is None else _count(v), lambda v: v is None or v >= 1),
     ("qmc_points", _count, lambda v: v >= 1),
     ("rescale_exponent", lambda v: v if v is None else float(v), lambda v: v is None or 0.0 < v <= 1.0),
+    ("dataset", lambda v: v, lambda v: v is None or (isinstance(v, str) and v != "")),
+    # switches are JSON true or false: a string such as "no" would be truthy
+    ("collect_extras", lambda v: v, lambda v: isinstance(v, bool)),
+    ("force", lambda v: v, lambda v: isinstance(v, bool)),
     # a nonempty list of unique tags that make_model knows
     ("models", tuple, lambda v: v and len(set(v)) == len(v) and set(v) <= set(_MODEL_TAGS)),
 )
@@ -585,17 +589,15 @@ def _write_csv(path: Path, rows, fieldnames=None):
             writer.writerow(row)
 
 
-def _sort_key(row: dict):
-    return tuple(str(row.get(k, "")) for k in sorted(row))
-
-
 def run_experiment(config: ExperimentConfig) -> Path:
     """Execute the grid x replications and persist deterministic tables.
 
     Returns the results directory. Output files: one CSV per table kind,
-    plus manifest.json carrying the config hash, master seed, package
-    version, the names of the tables written, and any failed cells. A completed manifest with the same
-    hash short-circuits the run unless ``config.force``.
+    its rows in the cell order of ``_cells`` at any ``threads``, plus
+    manifest.json carrying the config hash, master seed, package version,
+    the names of the tables written, and any failed cells. A completed
+    manifest with the same hash short-circuits the run unless
+    ``config.force``.
     """
     out = Path(config.out)
     manifest_path = out / "manifest.json"
@@ -630,7 +632,6 @@ def run_experiment(config: ExperimentConfig) -> Path:
                 tables.setdefault(name, []).extend(rows)
 
     for name, rows in tables.items():
-        rows.sort(key=_sort_key)
         _write_csv(out / f"{name}.csv", rows)
 
     manifest = {
@@ -665,14 +666,15 @@ def read_results(results_dir) -> dict:
 
 
 def _median_amc_summary(amc_rows):
-    """Median AMC per grid cell (the heatmap-backing table)."""
+    """Median AMC per grid cell and pair (the heatmap-backing table), in
+    the order the cells first appear in ``amc_rows``."""
     groups: dict = {}
     for row in amc_rows:
         key = tuple((k, row[k]) for k in sorted(row) if k not in ("replication", "index", "amc", "pair"))
         pair = row.get("pair", "amc")
         groups.setdefault((key, pair), []).append(float(row["amc"]))
     summary = []
-    for (key, pair), values in sorted(groups.items(), key=lambda kv: (str(kv[0][0]), str(kv[0][1]))):
+    for (key, pair), values in groups.items():
         entry = dict(key)
         entry["pair"] = pair
         entry["n"] = len(values)
@@ -686,11 +688,14 @@ def emit_report(results_dir, format: str = "csv") -> list:
 
     csv: writes a median-AMC summary (heatmap data) next to the raw
     tables. json: additionally bundles every table plus the config
-    fingerprint into report.json. Returns the written paths.
+    fingerprint into report.json. Returns the written paths. Raises
+    FileNotFoundError when ``results_dir`` holds no manifest.json.
     """
     if format not in ("csv", "json"):
         raise ValueError("format must be 'csv' or 'json'")
     results_dir = Path(results_dir)
+    if not (results_dir / "manifest.json").is_file():
+        raise FileNotFoundError(f"{results_dir / 'manifest.json'} does not exist: not a results directory")
     tables = read_results(results_dir)
     written = []
     if "amc" in tables and tables["amc"]:
@@ -700,8 +705,8 @@ def emit_report(results_dir, format: str = "csv") -> list:
         written.append(path)
     if format == "json":
         payload = {
-            "config_hash": tables.get("manifest", {}).get("config_hash"),
-            "seed": tables.get("manifest", {}).get("seed"),
+            "config_hash": tables["manifest"]["config_hash"],
+            "seed": tables["manifest"]["seed"],
             "tables": {k: v for k, v in tables.items() if k != "manifest"},
         }
         path = results_dir / "report.json"

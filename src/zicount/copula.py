@@ -68,15 +68,12 @@ class LatentCopulaModel:
     """Fitted truncated latent Gaussian copula.
 
     sigma_hat : latent correlation matrix (positive definite)
-    delta_hat : per-variable truncation levels on the Gaussian scale; a
-        reported estimate that :func:`sample_tlnpn` does not read, since
-        the empirical marginals carry each variable's zero level
     marginals : sorted training values per variable, used as empirical
-        quantile tables when sampling
+        quantile tables when sampling; they carry each variable's zero
+        level
     """
 
     sigma_hat: np.ndarray
-    delta_hat: np.ndarray
     marginals: tuple
 
 
@@ -415,7 +412,7 @@ def fit_tlnpn(data, *, qmc_points: int = 4096) -> LatentCopulaModel:
     sigma = nearest_correlation(sigma)
 
     marginals = tuple(np.sort(Y[:, j]) for j in range(p))
-    return LatentCopulaModel(sigma_hat=sigma, delta_hat=delta, marginals=marginals)
+    return LatentCopulaModel(sigma_hat=sigma, marginals=marginals)
 
 
 def _bridge_roots(tau, dj, dk, n_points: int) -> np.ndarray:

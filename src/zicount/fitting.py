@@ -6,7 +6,7 @@ likelihood factorizes, so it is fitted as an independent logistic part
 (zero indicator) and a zero-truncated NB part (positive counts).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -76,7 +76,6 @@ class RegressionFit:
     flavor: Flavor
     converged: bool
     n_obs: int
-    trace: tuple = field(default=(), repr=False, compare=False)
 
     @property
     def aic(self) -> float:
@@ -226,29 +225,26 @@ def _ztnb_negll(theta, y, X):
 def _minimize(fun, x0, args):
     """One L-BFGS-B run on an objective returning (value, gradient).
 
-    Returns (x, negll, converged, trace); the trace holds the
-    log-likelihood at the start and after every iteration. Raises
-    InitializationError when the objective is not finite at ``x0`` or at
-    the end (the clips keep it finite on finite data). The start value is
-    the run's own first evaluation, at ``x0``: no call outside ``nfev``.
+    Returns (x, negll, converged). Raises InitializationError when the
+    objective is not finite at ``x0`` or at the end (the clips keep it
+    finite on finite data). The check at ``x0`` reads the run's own first
+    evaluation: no call outside ``nfev``.
     """
-    trace = []
+    started = False
 
     def checked(x, *a):
+        nonlocal started
         value, grad = fun(x, *a)
-        if not trace:
+        if not started:
             if not np.isfinite(value):
                 raise InitializationError("objective not finite at the starting point")
-            trace.append(-value)
+            started = True
         return value, grad
 
-    def cb(intermediate_result):
-        trace.append(-intermediate_result.fun)
-
-    res = minimize(checked, x0, args=args, method="L-BFGS-B", jac=True, callback=cb, options=_LBFGSB_OPTIONS)
+    res = minimize(checked, x0, args=args, method="L-BFGS-B", jac=True, options=_LBFGSB_OPTIONS)
     if not np.isfinite(res.fun):
         raise InitializationError("objective not finite at the optimizer's end point")
-    return res.x, float(res.fun), bool(res.success), np.asarray(trace)
+    return res.x, float(res.fun), bool(res.success)
 
 
 def _init_beta(y, X):
@@ -260,11 +256,11 @@ def _init_beta(y, X):
     return np.clip(coef, -10.0, 10.0)
 
 
-def _result(coef: RegressionCoefficients, loglik, flavor: Flavor, ok, n: int, traces: tuple) -> RegressionFit:
+def _result(coef: RegressionCoefficients, loglik, flavor: Flavor, ok, n: int) -> RegressionFit:
     """The fit at ``coef``; it counts as converged when every optimizer run
     met its tolerances and the log-likelihood is finite."""
     k = coef.beta.size + coef.gamma.size + 1
-    return RegressionFit(coef, float(loglik), k, flavor, bool(ok and np.isfinite(loglik)), n, traces)
+    return RegressionFit(coef, float(loglik), k, flavor, bool(ok and np.isfinite(loglik)), n)
 
 
 def fit_regression(y, X, Z=None, flavor: Flavor = Flavor.ZINB) -> RegressionFit:
@@ -296,22 +292,22 @@ def fit_regression(y, X, Z=None, flavor: Flavor = Flavor.ZINB) -> RegressionFit:
             raise DegenerateDataError("ZINB needs at least one zero and one positive count")
         g0 = _minimize(_logistic_negll, np.zeros(q2), ((y == 0).astype(float), Z))[0]
         theta0 = np.concatenate([_init_beta(y, X), g0, [0.0]])
-        x, _, ok, trace = _minimize(_zinb_negll, theta0, (y.astype(float), X, Z))
+        x, _, ok = _minimize(_zinb_negll, theta0, (y.astype(float), X, Z))
         coef = RegressionCoefficients(beta=x[:q1], gamma=x[q1 : q1 + q2], log_r=_clip_log_r(x[-1]))
         # report the unclipped likelihood at the optimum
-        return _result(coef, zinb_loglik(y, X, Z, coef).total, flavor, ok, n, (trace,))
+        return _result(coef, zinb_loglik(y, X, Z, coef).total, flavor, ok, n)
     if flavor is Flavor.HNB:
         if not np.array_equal(Z, X, equal_nan=True):
             raise ValueError("the hurdle model uses one shared design; pass Z=None")
         pos = y > 0
         if not pos.any():
             raise DegenerateDataError("hurdle fit needs at least one positive count")
-        g, _, ok_g, trace_g = _minimize(_logistic_negll, np.zeros(q1), ((y == 0).astype(float), X))
+        g, _, ok_g = _minimize(_logistic_negll, np.zeros(q1), ((y == 0).astype(float), X))
         # the zero-truncated NB part on the positive counts, same design
         theta0 = np.append(_init_beta(y, X), 0.0)
-        x, _, ok, trace = _minimize(_ztnb_negll, theta0, (y[pos].astype(float), X[pos]))
+        x, _, ok = _minimize(_ztnb_negll, theta0, (y[pos].astype(float), X[pos]))
         coef = RegressionCoefficients(beta=x[:-1], gamma=g, log_r=_clip_log_r(x[-1]))
-        return _result(coef, hnb_loglik(y, X, coef), flavor, ok_g and ok, n, (trace_g, trace))
+        return _result(coef, hnb_loglik(y, X, coef), flavor, ok_g and ok, n)
     raise ValueError("fit_regression supports ZINB and HNB; use fit_intercept_only for NB")
 
 
@@ -368,19 +364,19 @@ def fit_intercept_only(y, flavor: Flavor) -> RegressionFit:
         counts[0] = 0.0
         # the start of the regression fit: mean log count of the positives
         log_mean = np.clip(counts[1:] @ np.log(values[1:]) / n_pos, -10.0, 10.0)
-        x, negll, ok, trace = _minimize(_histogram_negll, np.array([log_mean, 0.0]), (values, counts, n_pos))
+        x, negll, ok = _minimize(_histogram_negll, np.array([log_mean, 0.0]), (values, counts, n_pos))
         coef = RegressionCoefficients(beta=x[:1], gamma=[logit(pi_hat)], log_r=_clip_log_r(x[-1]))
         loglik = n_zero * np.log(pi_hat) + n_pos * np.log1p(-pi_hat) - negll
-        return _result(coef, loglik, Flavor.HNB, ok, n, (trace,))
+        return _result(coef, loglik, Flavor.HNB, ok, n)
 
     # NB: moment initialization refined by MLE
     mean = counts @ values / n
     m, var = max(mean, 1e-6), counts @ (values - mean) ** 2 / n
     r = m * m / (var - m) if var > m else 100.0
     theta0 = np.array([np.log(m), np.log(np.clip(r, 1e-3, 1e3))])
-    x, negll, ok, trace = _minimize(_histogram_negll, theta0, (values, counts, 0))
+    x, negll, ok = _minimize(_histogram_negll, theta0, (values, counts, 0))
     coef = RegressionCoefficients(beta=x[:1], gamma=np.empty(0), log_r=_clip_log_r(x[-1]))
-    return _result(coef, -negll, Flavor.NB, ok, n, (trace,))
+    return _result(coef, -negll, Flavor.NB, ok, n)
 
 
 def _score(theta, y, X, Z, flavor):

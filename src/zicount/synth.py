@@ -14,7 +14,7 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import expit, logit
 
-from .copula import LatentCopulaModel, sample_tlnpn, zero_truncation_levels
+from .copula import LatentCopulaModel, sample_tlnpn
 from .counts import Flavor, _log_nb_zero, _sample_hnb, _sample_zinb
 from .exceptions import SelectionError
 
@@ -166,7 +166,7 @@ def ar_correlation(spec: CorrelationSpec) -> np.ndarray:
 
 
 def gd_covariance(spec: CorrelationSpec) -> np.ndarray:
-    """Covariance with geometrically decaying eigenvalues (trace 5)."""
+    """Covariance with geometrically decaying eigenvalues that sum to 5."""
     if spec.kind is not CorrKind.GD:
         raise ValueError("spec.kind must be GD")
     j = np.arange(1, spec.p + 1)
@@ -322,7 +322,6 @@ def gen_setting_three(config: SettingConfig, seed: int) -> np.ndarray:
     chosen = source[:, select_columns_by_zero_fraction(source, targets)]
     model = LatentCopulaModel(
         sigma_hat=realize_correlation(config.corr),
-        delta_hat=zero_truncation_levels(chosen),
         marginals=tuple(np.sort(chosen[:, j]) for j in range(config.p)),
     )
     return sample_tlnpn(model, config.n, seed)

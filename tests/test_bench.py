@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 
@@ -291,6 +292,21 @@ class TestRunExperiment:
         assert manifest["config_hash"] == config.fingerprint()
         assert manifest["failures"] == []
 
+    def test_setting_one_rows_follow_cell_order(self, tmp_path):
+        """aic.csv runs zero_target, flavor, replication and model in the
+        order the config lists them, not sorted by any column."""
+        config = ExperimentConfig(
+            experiment=Experiment.SETTING_ONE,
+            grids={"zero_target": [0.4, 0.2], "flavor": ["hnb", "zinb"]},
+            replications=2,
+            seed=3,
+            out=str(tmp_path / "s1"),
+            n=120,
+        )
+        rows = read_results(run_experiment(config))["aic"]
+        cells = [(row["zero_target"], row["true_flavor"], row["replication"], row["model"]) for row in rows]
+        assert cells == list(itertools.product(["0.4", "0.2"], ["hnb", "zinb"], ["0", "1"], ["zinb", "hnb"]))
+
     def test_setting_one_calibrates_each_grid_point_once(self, tmp_path, monkeypatch):
         calls = []
 
@@ -411,11 +427,16 @@ class TestRunExperiment:
             seed=4,
             out=str(tmp_path / "rd"),
             dataset=str(path),
+            models=("tlnpn", "hnb"),
         )
         out = run_experiment(config)
         tables = read_results(out)
         assert len(tables["amc"]) == 2  # one AMC per split
         assert all(r["pair"] == "hnb_vs_tlnpn" for r in tables["amc"])
+        # split, then its held-out fold, then model as the config lists them
+        cells = [(int(r["split"]), int(r["fold"]), r["model"]) for r in tables["distances"]]
+        assert [(split, model) for split, _, model in cells] == [(0, "tlnpn"), (0, "hnb"), (1, "tlnpn"), (1, "hnb")]
+        assert cells[0][1] == cells[1][1] and cells[2][1] == cells[3][1]
 
 
 def tiny_config(experiment, out, counts_path):
@@ -512,7 +533,7 @@ class TestEmitReport:
     def test_csv_summary_and_json_fingerprint(self, tmp_path):
         config = ExperimentConfig(
             experiment=Experiment.SETTING_TWO,
-            grids={"beta1": [0.0], "gamma0": [-2.0], "gamma1": [0.0], "rho": [0.3, 0.6], "corr": ["AR"]},
+            grids={"beta1": [0.0], "gamma0": [-2.0], "gamma1": [0.0], "rho": [0.6, 0.3], "corr": ["AR"]},
             replications=2,
             folds=3,
             seed=5,
@@ -525,8 +546,8 @@ class TestEmitReport:
         assert summary_path.exists()
         with open(summary_path, newline="") as fh:
             summary = list(csv.DictReader(fh))
-        # one row per (rho, pair)
-        assert len(summary) == 2
+        # one row per (rho, pair), in the cell order of the grid
+        assert [row["rho"] for row in summary] == ["0.6", "0.3"]
         for row in summary:
             assert int(row["n"]) == 2
         with open(out / "report.json") as fh:

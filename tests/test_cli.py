@@ -135,6 +135,14 @@ class TestExperimentCommands:
         assert main(["report", "--results", str(tmp_path / "res"), "--format", "json"]) == 0
         assert (tmp_path / "res" / "report.json").exists()
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_report_outside_a_results_directory_is_error(self, tmp_path, capsys, fmt):
+        for results in (tmp_path / "missing", tmp_path):
+            assert main(["report", "--results", str(results), "--format", fmt]) == 1
+            err = capsys.readouterr().err
+            assert err == f"error: {results / 'manifest.json'} does not exist: not a results directory\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_wrong_subcommand_for_config(self, tmp_path, capsys):
         cfg = {
             "experiment": "setting-one-deflation",
@@ -184,6 +192,25 @@ class TestExperimentCommands:
         cfg_path.write_text(json.dumps(cfg))
         assert main(["setting-one-deflation", "--config", str(cfg_path)]) == 1
         assert f"error: config value {shown} out of range for {key!r}" in capsys.readouterr().err
+        assert not (tmp_path / "res").exists()
+
+    @pytest.mark.parametrize(
+        "key, value, shown",
+        [
+            ("dataset", 5, "5"),
+            ("dataset", "", "''"),
+            ("collect_extras", "no", "'no'"),
+            ("collect_extras", 1, "1"),
+            ("force", "no", "'no'"),
+        ],
+    )
+    def test_malformed_flag_or_dataset_is_error(self, tmp_path, capsys, key, value, shown):
+        """Switches are JSON true or false, and a dataset is a nonempty path."""
+        cfg_path = tmp_path / "cfg.json"
+        cfg = {"experiment": "real-data", "dataset": "standin", "n_splits": 1, "out": str(tmp_path / "res"), key: value}
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["real-data", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err == f"error: config value {shown} out of range for {key!r}\n"
         assert not (tmp_path / "res").exists()
 
     @pytest.mark.parametrize(

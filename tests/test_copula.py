@@ -714,9 +714,7 @@ class TestSampleTlnpn:
     def test_identity_correlation_gives_independent_columns(self, model):
         from zicount.copula import LatentCopulaModel
 
-        iid = LatentCopulaModel(
-            sigma_hat=np.eye(3), delta_hat=model.delta_hat, marginals=model.marginals
-        )
+        iid = LatentCopulaModel(sigma_hat=np.eye(3), marginals=model.marginals)
         passes = 0
         runs = 40
         for run in range(runs):
@@ -727,13 +725,3 @@ class TestSampleTlnpn:
 
     def test_deterministic(self, model):
         assert np.array_equal(sample_tlnpn(model, 50, seed=9), sample_tlnpn(model, 50, seed=9))
-
-    def test_delta_hat_is_not_read_by_the_sampler(self, model):
-        """delta_hat is a reported estimate; the empirical marginals carry
-        the zero levels."""
-        from zicount.copula import LatentCopulaModel
-
-        moved = LatentCopulaModel(
-            sigma_hat=model.sigma_hat, delta_hat=model.delta_hat + 1.5, marginals=model.marginals
-        )
-        assert np.array_equal(sample_tlnpn(moved, 200, seed=4), sample_tlnpn(model, 200, seed=4))

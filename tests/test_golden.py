@@ -9,23 +9,33 @@ changed. The fitted correlations move with every such change. The 101 x 101
 real-data correlation is left out, because its last bits depend on the
 number of BLAS threads.
 
-A change that moves a random stream or the last bit of an estimate moves a
-digest here. Such a change updates the digest in the same commit and says
-which experiment kinds moved and why. The digests were recorded on the
-numpy and scipy versions below; other versions may differ in the last bits
-of ``eigh`` or ``gammaln``, so there the digest checks are skipped.
+A change that moves a random stream, the last bit of an estimate or the
+order of a table's rows moves a digest here. Such a change updates the
+digest in the same commit and says which experiment kinds moved and why.
+Run as a script (``python tests/test_golden.py`` from a checkout), this
+file prints every golden config's current digest in the form of
+``GOLDEN_DIGESTS``. The digests were recorded on the numpy and scipy
+versions below; other versions may differ in the last bits of ``eigh`` or
+``gammaln``, so there the digest checks are skipped.
 """
 
 import hashlib
 import math
+import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy
 
+if __name__ == "__main__":  # run as a script: import the package from the checkout's src/
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
 from zicount import evaluate
 from zicount.bench import Experiment, ExperimentConfig, config_from_json, run_experiment
+from zicount.exceptions import ClampedCorrelationWarning
 
 RECORDED_ON = {"numpy": "2.4.6", "scipy": "1.17.1"}
 
@@ -63,11 +73,11 @@ GOLDEN_CONFIGS = {
 }
 
 GOLDEN_DIGESTS = {
-    "setting_one": "000ad3e025ba90d27c86b46e1859a102e981a296e85d9f853c204f1e7036eab4",
+    "setting_one": "11523f8c6fd600502e405e54f7e7249ff3397e4c8061ced4151ed3e1d42c343a",
     "setting_one_deflation": "9654643c674c168327ba07aaaca34633cccb431bba5a74b76ffbc3d4873d0263",
-    "setting_two": "6d7ff0aaed9cb1903771932890b32fd8b2ef03f325df84625a3d22f5882f156f",
-    "setting_three": "285945bc85937a166e6eb0d53a52787ce3fb656af920de0d0afb7ad780dabf2e",
-    "real_data": "1e99ef295e3fcf7554a3104e84b224ab195f566c3d80b7bbafeff374e2cf3e1d",
+    "setting_two": "7a2c31de53ee23b2ced6fe0933b0243517a369a5b5d09688ccd5a96edb1119c9",
+    "setting_three": "10c7131b123196cda13a0a7e1d70aa35b5a79c3d2e9423d997d5be2ff963af51",
+    "real_data": "200cc6089e50c2e795ba5e9c0b693ff7d7f88687cb453d9d92465978880ad4a6",
 }
 
 CONFIG_FINGERPRINTS = {
@@ -121,3 +131,19 @@ def test_tiny_run_matches_its_golden_digest(tmp_path, monkeypatch, name):
 def test_shipped_config_fingerprint_is_unchanged(name):
     config = config_from_json(CONFIG_DIR / f"{name}.json")
     assert config.fingerprint()[:16] == CONFIG_FINGERPRINTS[name]
+
+
+def print_golden_digests():
+    """Print each golden config's digest on this tree, as the body of
+    ``GOLDEN_DIGESTS``, with the numpy and scipy versions they hold for."""
+    print(f"# numpy {np.__version__}, scipy {scipy.__version__}")
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, kwargs in GOLDEN_CONFIGS.items():
+            config = ExperimentConfig(seed=1, out=str(Path(tmp) / name), **kwargs)
+            with pytest.MonkeyPatch.context() as monkeypatch, warnings.catch_warnings():
+                warnings.simplefilter("ignore", ClampedCorrelationWarning)
+                print(f'    "{name}": "{golden_digest(config, monkeypatch)}",')
+
+
+if __name__ == "__main__":
+    print_golden_digests()
