@@ -27,15 +27,16 @@ from .evaluate import _MODEL_TAGS, EvalReport, kfold_cv, make_model, random_spli
 from .exceptions import ParseError
 from .fitting import fit_regression
 from .synth import (
+    LATENT_DIM,
     CorrKind,
     CorrelationSpec,
     Setting,
-    SettingConfig,
     ar_correlation,
     gen_setting_one,
     gen_setting_three,
     gen_setting_two,
     resolve_setting_one_gamma0,
+    scenario_config,
     setting_one_config,
     setting_one_deflation_config,
     setting_two_config,
@@ -375,7 +376,7 @@ def _calibrate_setting_one(config: ExperimentConfig, point: dict, source):
     """(gamma0, mode) of one setting-one grid point, or the exception that
     calibrating it raised. It depends on the config seed, n, flavor and
     zero target only, so every replication of the point shares it."""
-    base = setting_one_config(Flavor(point["flavor"]), gamma0=0.0, n=config.n or 500)
+    base = setting_one_config(Flavor(point["flavor"]), gamma0=0.0, n=config.n)
     cal_seed = _seed(config.seed, 11)
     try:
         return resolve_setting_one_gamma0(base, point["zero_target"], cal_seed)
@@ -393,7 +394,7 @@ def _run_setting_one_cell(config, point, replication, calibration):
     gamma0, mode = calibration
     zero_target = point["zero_target"]
     flavor = Flavor(point["flavor"])
-    cfg = setting_one_config(flavor, gamma0=gamma0, n=config.n or 500)
+    cfg = setting_one_config(flavor, gamma0=gamma0, n=config.n)
     y, x = gen_setting_one(
         cfg, _seed(config.seed, 12, replication, int(round(zero_target * 1000)), int(flavor is Flavor.ZINB))
     )
@@ -420,7 +421,7 @@ def _run_setting_one_cell(config, point, replication, calibration):
 
 def _run_deflation_cell(config, point, replication, _):
     pi_h = point["pi_h"]
-    cfg = setting_one_deflation_config(gamma0=float(logit(pi_h)), n=config.n or 700)
+    cfg = setting_one_deflation_config(gamma0=float(logit(pi_h)), n=config.n)
     y, x = gen_setting_one(cfg, _seed(config.seed, 21, replication, int(round(pi_h * 1000))))
     X = np.column_stack([np.ones(len(y)), x])
     fit_z = fit_regression(y, X, X, Flavor.ZINB)
@@ -440,7 +441,7 @@ def _run_deflation_cell(config, point, replication, _):
 
 
 def _corr_spec(config: ExperimentConfig, point: dict) -> CorrelationSpec:
-    return CorrelationSpec(kind=CorrKind(point["corr"]), rho=point["rho"], p=5, orthogonal_seed=config.seed)
+    return CorrelationSpec(kind=CorrKind(point["corr"]), rho=point["rho"], p=LATENT_DIM, orthogonal_seed=config.seed)
 
 
 def _cv_tables(config: ExperimentConfig, point: dict, replication: int, Y, X, eval_tag: int) -> dict:
@@ -463,17 +464,16 @@ def _run_setting_two_cell(config, point, replication, _):
         beta1=point["beta1"],
         gamma0=point["gamma0"],
         gamma1=point["gamma1"],
-        n=config.n or 1200,
+        n=config.n,
     )
     Y, X = gen_setting_two(cfg, _seed(config.seed, 31, replication, hash_cell(*point.values())))
     return _cv_tables(config, point, replication, Y, X, eval_tag=32)
 
 
 def _run_setting_three_cell(config, point, replication, source_values):
-    cfg = SettingConfig(
-        setting=Setting.THREE,
-        n=config.n or 1200,
-        p=5,
+    cfg = scenario_config(
+        Setting.THREE,
+        n=config.n,
         corr=_corr_spec(config, point),
         zero_target=point["zero_target"],
         transform=point["transform"],
@@ -666,11 +666,11 @@ def read_results(results_dir) -> dict:
 
 
 def _median_amc_summary(amc_rows):
-    """Median AMC per grid cell and pair (the heatmap-backing table), in
-    the order the cells first appear in ``amc_rows``."""
+    """Median AMC per grid cell and pair (the heatmap-backing table), its
+    rows and key columns in their order in ``amc_rows``."""
     groups: dict = {}
     for row in amc_rows:
-        key = tuple((k, row[k]) for k in sorted(row) if k not in ("replication", "index", "amc", "pair"))
+        key = tuple((k, row[k]) for k in row if k not in ("replication", "index", "amc", "pair"))
         pair = row.get("pair", "amc")
         groups.setdefault((key, pair), []).append(float(row["amc"]))
     summary = []
@@ -687,8 +687,8 @@ def emit_report(results_dir, format: str = "csv") -> list:
     """Derive flat report tables from a results directory.
 
     csv: writes a median-AMC summary (heatmap data) next to the raw
-    tables. json: additionally bundles every table plus the config
-    fingerprint into report.json. Returns the written paths. Raises
+    tables. json: additionally bundles the manifest's tables plus the
+    config fingerprint into report.json. Returns the written paths. Raises
     FileNotFoundError when ``results_dir`` holds no manifest.json.
     """
     if format not in ("csv", "json"):
@@ -707,7 +707,7 @@ def emit_report(results_dir, format: str = "csv") -> list:
         payload = {
             "config_hash": tables["manifest"]["config_hash"],
             "seed": tables["manifest"]["seed"],
-            "tables": {k: v for k, v in tables.items() if k != "manifest"},
+            "tables": {name: tables[name] for name in tables["manifest"]["tables"]},
         }
         path = results_dir / "report.json"
         with open(path, "w") as fh:

@@ -30,6 +30,8 @@ from .evaluate import wasserstein_pd
 from .exceptions import ZicountError
 from .fitting import fit_intercept_only, fit_regression
 from .synth import (
+    _READS,
+    LATENT_DIM,
     CorrKind,
     CorrelationSpec,
     Setting,
@@ -37,6 +39,7 @@ from .synth import (
     gen_setting_one,
     gen_setting_three,
     gen_setting_two,
+    scenario_config,
 )
 
 
@@ -158,56 +161,48 @@ def _cmd_fit(args) -> int:
     return 0
 
 
-def _optional(coerce):
-    return lambda v: v if v is None else coerce(v)
+# (coerce, valid) of each simulate parameter, as bench._SCALARS checks the config's
+_PARAMETER_CHECKS = {
+    **dict.fromkeys(("n", "p"), (_count, lambda v: v >= 1)),
+    **dict.fromkeys(("beta0", "beta1", "gamma0", "gamma1", "rho"), (float, np.isfinite)),
+    "r": (float, lambda v: v > 0.0 and np.isfinite(v)),
+    "flavor": (lambda v: Flavor(str(v).lower()), lambda v: v is not Flavor.NB),
+    "corr": (lambda v: CorrKind(str(v).upper()), lambda v: True),
+    "orthogonal_seed": (_count, lambda v: v >= 0),
+    "zero_target": (float, lambda v: 0.0 < v < 1.0),
+    "transform": (str, lambda v: v in ("none", "sqrt")),
+    "dataset": (lambda v: v, lambda v: isinstance(v, str) and v != ""),
+    "rescale_exponent": (float, lambda v: 0.0 < v <= 1.0),
+}
+# the parameters that stand for a SettingConfig field; every other field is its own
+_PARAMETERS_OF = {"corr": ("corr", "rho", "orthogonal_seed"), "marginal_source": ("dataset", "rescale_exponent")}
 
 
-# (key, coerce, valid, default) of each scalar scenario parameter, as
-# bench._SCALARS checks the config's; "p" defaults to 5 in a "corr" scenario
-_SCENARIO_SCALARS = (
-    ("n", _count, lambda v: v >= 1, 500),
-    ("p", _count, lambda v: v >= 1, 1),
-    ("beta0", float, np.isfinite, 0.0),
-    ("beta1", float, np.isfinite, 0.0),
-    ("gamma0", float, np.isfinite, 0.0),
-    ("gamma1", float, np.isfinite, 0.0),
-    ("r", float, lambda v: v > 0.0 and np.isfinite(v), 1.0),
-    ("zero_target", _optional(float), lambda v: v is None or 0.0 < v < 1.0, None),
-    ("rescale_exponent", _optional(float), lambda v: v is None or 0.0 < v <= 1.0, None),
-)
-# the further entries of a "corr" scenario; "rho" has no default
-_CORR_SCALARS = (
-    ("rho", float, np.isfinite, None),
-    ("orthogonal_seed", _count, lambda v: v >= 0, 0),
-)
+def scenario_parameters(setting: Setting) -> tuple:
+    """The simulate parameters of ``setting``: those of each field it reads."""
+    return tuple(key for name in _READS[setting] for key in _PARAMETERS_OF.get(name, (name,)))
 
 
-def _scenario_config(scenario: str, params: dict) -> SettingConfig:
-    entries = _SCENARIO_SCALARS
-    if "corr" in params:
-        params = {"p": 5, **params}
-        entries += _CORR_SCALARS
-    # the SettingConfig scalars, once rescale_exponent and the corr entries are popped
-    v = {
-        key: _checked(key, coerce, valid, params.get(key, default), "scenario parameter")
-        for key, coerce, valid, default in entries
-    }
-    exponent = v.pop("rescale_exponent")
-    corr = None
-    if "corr" in params:
-        corr = CorrelationSpec(CorrKind(str(params["corr"]).upper()), v.pop("rho"), v["p"], v.pop("orthogonal_seed"))
+def _scenario_config(scenario: str, params) -> SettingConfig:
+    """The SettingConfig of a simulate params object; an omitted parameter
+    takes the scenario's constant."""
+    if not isinstance(params, dict):
+        raise ValueError("scenario parameters must be a JSON object")
     setting = Setting(scenario)
-    marginal_source = None
-    if setting is Setting.THREE:
-        marginal_source = _load_source(params.get("dataset", "standin"), exponent).values
-    return SettingConfig(
-        setting=setting,
-        corr=corr,
-        flavor=Flavor(str(params.get("flavor", "hnb")).lower()),
-        transform=str(params.get("transform", "none")),
-        marginal_source=marginal_source,
-        **v,
-    )
+    keys = scenario_parameters(setting)
+    unread = [key for key in params if key not in keys]
+    if unread:
+        raise ValueError(f"scenario {scenario} does not read parameters {unread}")
+    missing = [key for key in ("corr", "rho") if key in keys and key not in params]
+    if missing:
+        raise ValueError(f"scenario {scenario} needs parameters {missing}")
+    v = {key: _checked(key, *_PARAMETER_CHECKS[key], value, "scenario parameter") for key, value in params.items()}
+    if "corr" in v:
+        spec = {key: v.pop(key) for key in ("rho", "orthogonal_seed") if key in v}
+        v["corr"] = CorrelationSpec(v["corr"], p=v.get("p", LATENT_DIM), **spec)
+    if "marginal_source" in _READS[setting]:
+        v["marginal_source"] = _load_source(v.pop("dataset", "standin"), v.pop("rescale_exponent", None)).values
+    return scenario_config(setting, **v)
 
 
 def _cmd_simulate(args) -> int:

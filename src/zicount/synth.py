@@ -6,7 +6,7 @@ driven by correlated Gaussian covariates, and a truncated-copula
 population built on empirical marginals taken from a source count table.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Optional
 
@@ -23,6 +23,8 @@ __all__ = [
     "CorrelationSpec",
     "Setting",
     "SettingConfig",
+    "LATENT_DIM",
+    "scenario_config",
     "ar_correlation",
     "gd_covariance",
     "random_orthogonal",
@@ -72,7 +74,8 @@ class Setting(Enum):
 
 @dataclass(frozen=True)
 class SettingConfig:
-    """Parameters of one scenario cell; fields unused by a scenario stay None.
+    """Parameters of one scenario cell. A scenario reads only its fields in
+    ``_READS``, each of them set; every other field keeps its default.
 
     ``marginal_source`` (scenario three) is an n x p count matrix whose
     empirical distributions seed the copula population; ``zero_target``
@@ -95,66 +98,68 @@ class SettingConfig:
     marginal_source: Optional[np.ndarray] = field(default=None, repr=False)
 
     def __post_init__(self):
-        if self.n <= 0 or self.p <= 0:
-            raise ValueError("n and p must be positive")
-        if self.r <= 0:
-            raise ValueError("r must be positive")
+        reads = ("setting",) + _READS[self.setting]
+        unread = [f.name for f in fields(self) if f.name not in reads and not _is_default(self, f)]
+        if unread:
+            raise ValueError(f"scenario {self.setting.value} does not read {unread}")
+        missing = [key for key in reads if getattr(self, key) is None]
+        if missing:
+            raise ValueError(f"scenario {self.setting.value} needs {missing}")
+        if self.n <= 0 or self.p <= 0 or self.r <= 0:
+            raise ValueError("n, p and r must be positive")
         if self.transform not in ("none", "sqrt"):
             raise ValueError("transform must be 'none' or 'sqrt'")
-        if self.setting in (Setting.TWO, Setting.THREE) and self.corr is None:
-            raise ValueError("settings two/three need a CorrelationSpec")
-        if self.setting is Setting.THREE and self.marginal_source is None:
-            raise ValueError("setting three needs marginal_source")
+        if self.corr is not None and self.corr.p != self.p:
+            raise ValueError(f"p = {self.p} but the CorrelationSpec has p = {self.corr.p}")
+
+
+def _is_default(config: SettingConfig, f) -> bool:
+    value = getattr(config, f.name)  # a count matrix does not compare to None with ==
+    return value is f.default or (f.default is not None and value == f.default)
+
+
+# the variables of the multivariate scenarios (two and three)
+LATENT_DIM = 5
+
+# the SettingConfig fields that each scenario's generator reads
+_UNIVARIATE = ("n", "beta0", "beta1", "gamma0", "gamma1", "r", "flavor")
+_READS = {
+    Setting.ONE: _UNIVARIATE,
+    Setting.ONE_DEFLATION: _UNIVARIATE,
+    Setting.TWO: ("n", "p", "beta0", "beta1", "gamma0", "gamma1", "r", "corr"),
+    Setting.THREE: ("n", "p", "corr", "zero_target", "transform", "marginal_source"),
+}
+
+# the paper's value of each read field that a scenario fixes; a read field
+# that is not here (a grid value) takes the SettingConfig default
+_CONSTANTS = {
+    Setting.ONE: dict(n=500, beta0=float(np.log(12.0)), beta1=2.0, gamma1=2.0, r=0.5),
+    Setting.ONE_DEFLATION: dict(n=700, beta0=float(np.log(6.0 / 7.0)), beta1=0.1, gamma1=0.0, r=2.0, flavor=Flavor.HNB),
+    Setting.TWO: dict(n=1200, p=LATENT_DIM, beta0=2.75, r=6.0),
+    Setting.THREE: dict(n=1200, p=LATENT_DIM, zero_target=0.5),
+}
+
+
+def scenario_config(setting: Setting, **params) -> SettingConfig:
+    """One ``setting`` cell: an omitted or None parameter takes the
+    scenario's constant, or else the field default."""
+    given = {key: value for key, value in params.items() if value is not None}
+    return SettingConfig(setting=setting, **{**_CONSTANTS[setting], **given})
 
 
 def setting_one_config(flavor: Flavor, gamma0: float, **overrides) -> SettingConfig:
-    """Univariate comparison defaults: n=500, beta0=ln 12, beta1=gamma1=2, r=0.5."""
-    base = dict(
-        setting=Setting.ONE,
-        n=500,
-        beta0=float(np.log(12.0)),
-        beta1=2.0,
-        gamma0=gamma0,
-        gamma1=2.0,
-        r=0.5,
-        flavor=flavor,
-    )
-    base.update(overrides)
-    return SettingConfig(**base)
+    """A univariate comparison cell with the scenario's constants."""
+    return scenario_config(Setting.ONE, flavor=flavor, gamma0=gamma0, **overrides)
 
 
 def setting_one_deflation_config(gamma0: float, **overrides) -> SettingConfig:
-    """Deflation sweep defaults: n=700, beta0=ln(6/7), beta1=0.1, gamma1=0, r=2."""
-    base = dict(
-        setting=Setting.ONE_DEFLATION,
-        n=700,
-        beta0=float(np.log(6.0 / 7.0)),
-        beta1=0.1,
-        gamma0=gamma0,
-        gamma1=0.0,
-        r=2.0,
-        flavor=Flavor.HNB,
-    )
-    base.update(overrides)
-    return SettingConfig(**base)
+    """A deflation sweep cell with the scenario's constants."""
+    return scenario_config(Setting.ONE_DEFLATION, gamma0=gamma0, **overrides)
 
 
 def setting_two_config(corr: CorrelationSpec, beta1: float, gamma0: float, gamma1: float, **overrides) -> SettingConfig:
-    """Multivariate hurdle population defaults: n=1200, p=5, beta0=2.75, r=6."""
-    base = dict(
-        setting=Setting.TWO,
-        n=1200,
-        p=corr.p,
-        beta0=2.75,
-        beta1=beta1,
-        gamma0=gamma0,
-        gamma1=gamma1,
-        r=6.0,
-        corr=corr,
-        flavor=Flavor.HNB,
-    )
-    base.update(overrides)
-    return SettingConfig(**base)
+    """A multivariate hurdle population cell with the scenario's constants and p = corr.p."""
+    return scenario_config(Setting.TWO, corr=corr, beta1=beta1, gamma0=gamma0, gamma1=gamma1, **{"p": corr.p, **overrides})
 
 
 def ar_correlation(spec: CorrelationSpec) -> np.ndarray:
@@ -279,12 +284,6 @@ def gen_setting_two(config: SettingConfig, seed: int):
     return Y, X
 
 
-def _transform_source(values: np.ndarray, transform: str) -> np.ndarray:
-    if transform == "sqrt":
-        return np.round(np.sqrt(values))
-    return np.asarray(values, dtype=float)
-
-
 def select_columns_by_zero_fraction(values: np.ndarray, targets) -> np.ndarray:
     """Indices of the columns whose zero fractions sit nearest the targets.
 
@@ -317,8 +316,10 @@ def gen_setting_three(config: SettingConfig, seed: int) -> np.ndarray:
     """
     if config.setting is not Setting.THREE:
         raise ValueError("config is not scenario three")
-    source = _transform_source(np.asarray(config.marginal_source, dtype=float), config.transform)
-    targets = np.full(config.p, config.zero_target if config.zero_target is not None else 0.5)
+    source = np.asarray(config.marginal_source, dtype=float)
+    if config.transform == "sqrt":
+        source = np.round(np.sqrt(source))
+    targets = np.full(config.p, config.zero_target)
     chosen = source[:, select_columns_by_zero_fraction(source, targets)]
     model = LatentCopulaModel(
         sigma_hat=realize_correlation(config.corr),

@@ -559,6 +559,36 @@ class TestEmitReport:
             vals = [float(r["amc"]) for r in raw if r["rho"] == row["rho"]]
             assert float(row["median_amc"]) == pytest.approx(float(np.median(vals)))
 
+    @staticmethod
+    def small_setting_two_run(tmp_path):
+        return run_experiment(
+            ExperimentConfig(
+                experiment=Experiment.SETTING_TWO,
+                grids={"beta1": [0.0], "gamma0": [-2.0], "gamma1": [0.0], "rho": [0.5], "corr": ["AR"]},
+                folds=3,
+                seed=1,
+                out=str(tmp_path / "r"),
+                n=90,
+            )
+        )
+
+    def test_every_json_report_is_the_same(self, tmp_path):
+        out = self.small_setting_two_run(tmp_path)
+        emit_report(out, format="json")
+        first = (out / "report.json").read_bytes()
+        emit_report(out, format="json")
+        assert (out / "report.json").read_bytes() == first
+        with open(out / "manifest.json") as fh:
+            assert sorted(json.loads(first)["tables"]) == json.load(fh)["tables"] == ["amc", "distances", "marginal"]
+
+    def test_summary_keeps_the_key_order_of_the_amc_rows(self, tmp_path):
+        out = self.small_setting_two_run(tmp_path)
+        emit_report(out)
+        with open(out / "amc.csv", newline="") as fh:
+            assert next(csv.reader(fh))[:6] == ["corr", "rho", "beta1", "gamma0", "gamma1", "replication"]
+        with open(out / "amc_summary.csv", newline="") as fh:
+            assert next(csv.reader(fh)) == ["corr", "rho", "beta1", "gamma0", "gamma1", "pair", "n", "median_amc"]
+
     def test_csv_roundtrip_numeric_identity(self, tmp_path):
         out = run_experiment(deflation_config(tmp_path))
         rows = read_results(out)["aic"]

@@ -4,10 +4,11 @@ import json
 import numpy as np
 import pytest
 
-from zicount import bench
+from zicount import CorrelationSpec, CorrKind, Flavor, bench
 from zicount.cli import main
 from zicount.evaluate import wasserstein_pd
 from zicount.exceptions import InvalidParameterError
+from zicount.synth import gen_setting_one, gen_setting_two, setting_one_config, setting_two_config
 
 
 def write_counts(path, values, names=None):
@@ -97,6 +98,51 @@ class TestSimulateCommand:
         assert main(["simulate", "--scenario", "two", "--params", str(params), "--out", str(out)]) == 1
         assert f"error: scenario parameter {shown} out of range for {key!r}" in capsys.readouterr().err
         assert not out.exists()
+
+    def simulate(self, tmp_path, scenario, params, seed=0):
+        """(exit code, output path) of one ``zicount simulate`` run."""
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(params))
+        out = tmp_path / "sim.csv"
+        return main(["simulate", "--scenario", scenario, "--params", str(path), "--seed", str(seed), "--out", str(out)]), out
+
+    @pytest.mark.parametrize(
+        "scenario, params, named",
+        [
+            ("one", {"beta_0": 2, "zero_target": 0.4, "p": 4}, "['beta_0', 'zero_target', 'p']"),
+            ("one", {"zero_target": 0.4}, "['zero_target']"),
+            ("one", {"p": 4}, "['p']"),
+            ("one-deflation", {"dataset": "nope.csv", "transform": "sqrt"}, "['dataset', 'transform']"),
+            ("two", {"corr": "AR", "rho": 0.5, "flavor": "zinb"}, "['flavor']"),
+            ("three", {"corr": "AR", "rho": 0.5, "beta0": 1.0}, "['beta0']"),
+        ],
+    )
+    def test_unknown_or_unread_parameter_is_error(self, tmp_path, capsys, scenario, params, named):
+        code, out = self.simulate(tmp_path, scenario, params)
+        assert code == 1
+        assert capsys.readouterr().err == f"error: scenario {scenario} does not read parameters {named}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scenario", ["two", "three"])
+    def test_corr_scenario_without_rho_is_error(self, tmp_path, capsys, scenario):
+        code, out = self.simulate(tmp_path, scenario, {"corr": "GD"})
+        assert code == 1
+        assert capsys.readouterr().err == f"error: scenario {scenario} needs parameters ['rho']\n"
+        assert not out.exists()
+
+    def test_scenario_one_omitted_parameters_are_the_papers(self, tmp_path):
+        code, out = self.simulate(tmp_path, "one", {}, seed=3)
+        assert code == 0
+        y, x = gen_setting_one(setting_one_config(Flavor.HNB, gamma0=0.0), 3)
+        assert np.array_equal(np.loadtxt(out, delimiter=",", skiprows=1), np.column_stack([y, x]))
+
+    def test_scenario_two_omitted_parameters_are_the_papers(self, tmp_path):
+        code, out = self.simulate(tmp_path, "two", {"corr": "AR", "rho": 0.5}, seed=3)
+        assert code == 0
+        Y, X = gen_setting_two(setting_two_config(CorrelationSpec(CorrKind.AR, 0.5, 5), 0.0, 0.0, 0.0), 3)
+        written = np.loadtxt(out, delimiter=",", skiprows=1)
+        assert np.array_equal(written, np.column_stack([Y, X]))
+        assert written.shape == (1200, 10) and 7.0 < Y.mean() < 9.0
 
     def test_scenario_three_standin(self, tmp_path):
         params = tmp_path / "p.json"

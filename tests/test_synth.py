@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +9,8 @@ from scipy.stats import spearmanr
 from zicount import CorrKind, CorrelationSpec, Flavor
 from zicount.exceptions import SelectionError
 from zicount.synth import (
+    _READS,
+    LATENT_DIM,
     Setting,
     SettingConfig,
     ar_correlation,
@@ -19,6 +22,7 @@ from zicount.synth import (
     realize_correlation,
     resolve_setting_one_gamma0,
     sample_mvn,
+    scenario_config,
     select_columns_by_zero_fraction,
     setting_one_config,
     setting_one_deflation_config,
@@ -308,3 +312,82 @@ class TestGenSettingThree:
         corr = realize_correlation(spec)
         assert np.allclose(np.diag(corr), 1.0)
         assert np.linalg.eigvalsh(corr).min() > 0
+
+
+# one small cell of each scenario, and its population as one array
+SMALL_CELLS = {
+    Setting.ONE: setting_one_config(Flavor.HNB, gamma0=0.0, n=60),
+    Setting.ONE_DEFLATION: setting_one_deflation_config(gamma0=0.0, n=60),
+    Setting.TWO: setting_two_config(CorrelationSpec(CorrKind.AR, 0.5, 5), 0.0, 0.0, 0.0, n=60),
+    Setting.THREE: scenario_config(
+        Setting.THREE, n=60, corr=CorrelationSpec(CorrKind.AR, 0.5, 5), marginal_source=heavy_tailed_source()
+    ),
+}
+GENERATORS = {
+    Setting.ONE: gen_setting_one,
+    Setting.ONE_DEFLATION: gen_setting_one,
+    Setting.TWO: gen_setting_two,
+    Setting.THREE: gen_setting_three,
+}
+
+
+def population(cfg):
+    out = GENERATORS[cfg.setting](cfg, 5)
+    return np.column_stack(out) if isinstance(out, tuple) else out
+
+
+class TestSettingConfig:
+    # a valid value other than every scenario's own for each field but ``setting``
+    CHANGES = dict(
+        n=80,
+        p=3,
+        beta0=1.0,
+        beta1=1.0,
+        gamma0=1.0,
+        gamma1=1.0,
+        r=3.0,
+        corr=CorrelationSpec(CorrKind.AR, 0.3, 5),
+        flavor=Flavor.ZINB,
+        zero_target=0.3,
+        transform="sqrt",
+        marginal_source=heavy_tailed_source(seed=1),
+    )
+
+    @pytest.mark.parametrize("setting", list(Setting))
+    def test_refuses_each_field_its_scenario_does_not_read(self, setting):
+        base = SMALL_CELLS[setting]
+        reads = _READS[setting]
+        assert set(self.CHANGES) == {f.name for f in dataclasses.fields(SettingConfig)} - {"setting"}
+        for key in reads:  # each read field moves the population
+            change = {key: self.CHANGES[key]}
+            if key == "p":  # with corr.p
+                change["corr"] = dataclasses.replace(base.corr, p=3)
+            assert not np.array_equal(population(dataclasses.replace(base, **change)), population(base)), key
+        for key in set(self.CHANGES) - set(reads):
+            with pytest.raises(ValueError, match=rf"scenario {setting.value} does not read \['{key}'\]"):
+                dataclasses.replace(base, **{key: self.CHANGES[key]})
+
+    def test_unread_fields_are_named_together(self):
+        with pytest.raises(ValueError, match=r"scenario one does not read \['p', 'zero_target'\]"):
+            setting_one_config(Flavor.HNB, gamma0=0.0, p=3, zero_target=0.4)
+
+    @pytest.mark.parametrize(
+        "setting, missing", [(Setting.TWO, "corr"), (Setting.THREE, "corr"), (Setting.THREE, "marginal_source")]
+    )
+    def test_a_read_field_must_be_set(self, setting, missing):
+        params = dict(corr=CorrelationSpec(CorrKind.AR, 0.5, 5), marginal_source=heavy_tailed_source())
+        params = {key: value for key, value in params.items() if key in _READS[setting] and key != missing}
+        with pytest.raises(ValueError, match=rf"scenario {setting.value} needs \['{missing}'\]"):
+            scenario_config(setting, **params)
+
+    def test_p_must_match_the_correlation_spec(self):
+        with pytest.raises(ValueError, match="p = 5 but the CorrelationSpec has p = 3"):
+            scenario_config(Setting.TWO, corr=CorrelationSpec(CorrKind.AR, 0.5, 3))
+
+    def test_none_takes_the_scenario_constant(self):
+        one = setting_one_config(Flavor.ZINB, gamma0=-1.0, n=None, r=None)
+        assert (one.n, one.beta0, one.beta1, one.gamma1, one.r) == (500, pytest.approx(math.log(12.0)), 2.0, 2.0, 0.5)
+        two = setting_two_config(CorrelationSpec(CorrKind.AR, 0.5, LATENT_DIM), 1.0, -2.0, 0.0, n=None)
+        assert (two.n, two.p, two.beta0, two.r, LATENT_DIM) == (1200, 5, 2.75, 6.0, 5)
+        three = scenario_config(Setting.THREE, corr=two.corr, marginal_source=heavy_tailed_source(), n=None)
+        assert (three.n, three.p, three.zero_target, three.transform) == (1200, 5, 0.5, "none")
