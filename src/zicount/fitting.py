@@ -1,9 +1,11 @@
 """Maximum-likelihood fitting of ZINB and hurdle-NB regressions.
 
 Both regressions use a log link for the mean and a logit link for the zero
-weight. ZINB is maximized jointly over (beta, gamma, log r). The hurdle
-likelihood factorizes, so it is fitted as an independent logistic part
-(zero indicator) and a zero-truncated NB part (positive counts).
+weight. ZINB is maximized jointly over (beta, gamma, log r) by L-BFGS-B. The
+hurdle likelihood factorizes, so it is fitted as an independent logistic part
+(zero indicator) and a zero-truncated NB part (positive counts). Every
+logistic model (the hurdle's zero part and the start of the ZINB zero part)
+is fitted by IRLS.
 """
 
 from dataclasses import dataclass
@@ -39,6 +41,14 @@ _LOG_R_CLIP = 15.0
 _HISTOGRAM_CLIPS = np.array([_ETA_CLIP, _LOG_R_CLIP])
 # budget and tolerances of every L-BFGS-B run (on analytic gradients)
 _LBFGSB_OPTIONS = dict(maxiter=500, ftol=1e-9, gtol=1e-5)
+# IRLS stops once g'H^+g, the gradient of the clipped logistic objective
+# measured in its inverse Hessian, is at most _IRLS_TOL * n. Half of it is
+# the decrease a Newton step still promises, so a one-sided or separated
+# zero indicator runs on to the eta clip, while an interior fit stops before
+# that decrease sinks below the objective's rounding (~1e-16 n).
+_IRLS_TOL = 1e-14
+_IRLS_MAXITER = 100
+_IRLS_HALVINGS = 30
 # central-difference step of the score in the observed information
 _SE_STEP = 1e-4
 
@@ -182,10 +192,15 @@ def _clip_log_r(log_r) -> float:
     return float(np.clip(log_r, -_LOG_R_CLIP, _LOG_R_CLIP))
 
 
-def _logistic_negll(gamma, b, Z):
+def _logistic_negll(gamma, b, Z, hessian=False):
+    """With ``hessian`` it also returns Z' diag(pi (1 - pi) inside) Z."""
     eta, inside = _clipped(Z @ gamma, _ETA_CLIP)
+    pi = expit(eta)
     value = -float((b * eta - np.logaddexp(0.0, eta)).sum())
-    return value, -(Z.T @ ((b - expit(eta)) * inside))
+    grad = -(Z.T @ ((b - pi) * inside))
+    if not hessian:
+        return value, grad
+    return value, grad, (Z.T * (pi * (1.0 - pi) * inside)) @ Z
 
 
 def _zinb_negll(theta, y, X, Z):
@@ -247,6 +262,38 @@ def _minimize(fun, x0, args):
     return res.x, float(res.fun), bool(res.success)
 
 
+def _fit_logistic(b, Z):
+    """Logistic regression of the 0/1 vector ``b`` on Z by IRLS (McCullagh
+    and Nelder 1989): Newton steps on the clipped objective from gamma = 0,
+    each halved until the objective does not rise. The step is the
+    minimum-norm solution, since the Hessian is singular where clipped rows
+    leave Z's columns unspanned.
+
+    Returns (gamma, negll, converged); converged is False when the budget
+    ran out or no halving of a step kept the objective from rising. Raises
+    InitializationError when the objective is not finite at the start, as
+    :func:`_minimize` does.
+    """
+    gamma = np.zeros(Z.shape[1])
+    value, grad, hess = _logistic_negll(gamma, b, Z, hessian=True)
+    if not np.isfinite(value):
+        raise InitializationError("objective not finite at the starting point")
+    for _ in range(_IRLS_MAXITER):
+        step = np.linalg.lstsq(hess, grad, rcond=None)[0]
+        if grad @ step <= _IRLS_TOL * len(b):
+            return gamma, value, True
+        for _ in range(_IRLS_HALVINGS):
+            trial = _logistic_negll(gamma - step, b, Z, hessian=True)
+            if trial[0] <= value:
+                break
+            step = 0.5 * step
+        else:
+            break
+        gamma = gamma - step
+        value, grad, hess = trial
+    return gamma, value, False
+
+
 def _init_beta(y, X):
     """Log-linear least squares on positive counts."""
     pos = y > 0
@@ -290,7 +337,7 @@ def fit_regression(y, X, Z=None, flavor: Flavor = Flavor.ZINB) -> RegressionFit:
     if flavor is Flavor.ZINB:
         if not (y == 0).any() or not (y > 0).any():
             raise DegenerateDataError("ZINB needs at least one zero and one positive count")
-        g0 = _minimize(_logistic_negll, np.zeros(q2), ((y == 0).astype(float), Z))[0]
+        g0 = _fit_logistic((y == 0).astype(float), Z)[0]
         theta0 = np.concatenate([_init_beta(y, X), g0, [0.0]])
         x, _, ok = _minimize(_zinb_negll, theta0, (y.astype(float), X, Z))
         coef = RegressionCoefficients(beta=x[:q1], gamma=x[q1 : q1 + q2], log_r=_clip_log_r(x[-1]))
@@ -302,7 +349,7 @@ def fit_regression(y, X, Z=None, flavor: Flavor = Flavor.ZINB) -> RegressionFit:
         pos = y > 0
         if not pos.any():
             raise DegenerateDataError("hurdle fit needs at least one positive count")
-        g, _, ok_g = _minimize(_logistic_negll, np.zeros(q1), ((y == 0).astype(float), X))
+        g, _, ok_g = _fit_logistic((y == 0).astype(float), X)
         # the zero-truncated NB part on the positive counts, same design
         theta0 = np.append(_init_beta(y, X), 0.0)
         x, _, ok = _minimize(_ztnb_negll, theta0, (y[pos].astype(float), X[pos]))

@@ -11,7 +11,6 @@ from enum import Enum
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import expit, logit
 
 from .copula import LatentCopulaModel, sample_tlnpn
@@ -230,6 +229,11 @@ def gen_setting_one(config: SettingConfig, seed: int):
 
 
 _CALIBRATION_DRAWS = 100_000
+# gamma0 is searched in [-_CALIBRATION_BOUND, _CALIBRATION_BOUND]; the
+# search stops once a step moves it by at most _CALIBRATION_XTOL * max(1, |gamma0|)
+_CALIBRATION_BOUND = 40.0
+_CALIBRATION_XTOL = 1e-12
+_CALIBRATION_MAXITER = 100
 
 
 def resolve_setting_one_gamma0(config: SettingConfig, target_zero: float, seed: int):
@@ -242,6 +246,10 @@ def resolve_setting_one_gamma0(config: SettingConfig, target_zero: float, seed: 
     below that curve's value at gamma0 = -40 (the NB zero floor); then by
     E[pi(x)]. On E[pi(x)] with gamma1 = 0 the answer is the exact logit.
 
+    The curve rises in gamma0, so the root comes from a safeguarded Newton
+    search on [-40, 40]: a step that leaves the bracket of the root is
+    replaced by bisection.
+
     Returns (gamma0, mode), mode "structural" for a ZINB target below the
     floor and "total" otherwise.
     """
@@ -249,18 +257,45 @@ def resolve_setting_one_gamma0(config: SettingConfig, target_zero: float, seed: 
         raise ValueError("target_zero must lie in (0, 1)")
     x = np.random.default_rng(seed).standard_normal(_CALIBRATION_DRAWS)
     nb0 = np.exp(_log_nb_zero(np.exp(config.beta0 + config.beta1 * x), config.r))
+    nb0_mean = float(nb0.mean())
+    exp_slope = np.exp(-config.gamma1 * x)
 
-    def zero_prob(gamma0, structural: bool) -> float:
-        pi = expit(gamma0 + config.gamma1 * x)
-        return float(pi.mean() if structural else (pi + (1.0 - pi) * nb0).mean())
+    def zero_prob(gamma0, structural: bool):
+        """The curve at gamma0 and its derivative E[pi (1 - pi) w], with
+        w = 1 - NB(0) on the total curve and w = 1 on E[pi]."""
+        # e^-gamma0 * e^(-gamma1 x) may overflow to inf, where pi = 0 is the limit
+        with np.errstate(over="ignore"):
+            pi = 1.0 / (1.0 + np.exp(-gamma0) * exp_slope)
+        pi_w = pi if structural else pi * (1.0 - nb0)
+        level = float(pi_w.mean()) + (0.0 if structural else nb0_mean)
+        return level, float((pi_w * (1.0 - pi)).mean())
 
-    below_floor = config.flavor is Flavor.ZINB and target_zero <= zero_prob(-40.0, False)
+    below_floor = config.flavor is Flavor.ZINB and target_zero <= zero_prob(-_CALIBRATION_BOUND, False)[0]
     mode = "structural" if below_floor else "total"
     structural = below_floor or config.flavor is Flavor.HNB
     if structural and config.gamma1 == 0.0:
         return float(logit(target_zero)), mode
-    root = brentq(lambda g: zero_prob(g, structural) - target_zero, -40.0, 40.0, xtol=1e-10)
-    return float(root), mode
+    # the exact root when gamma1 = 0, given E[pi (1 - NB(0))] = pi (1 - mean NB(0))
+    start = target_zero if structural else (target_zero - nb0_mean) / (1.0 - nb0_mean)
+    lo, hi = -_CALIBRATION_BOUND, _CALIBRATION_BOUND
+    gamma0 = float(np.clip(logit(start), lo, hi))
+    for _ in range(_CALIBRATION_MAXITER):
+        level, slope = zero_prob(gamma0, structural)
+        gap = level - target_zero
+        if gap == 0.0:
+            break
+        if gap < 0.0:
+            lo = gamma0
+        else:
+            hi = gamma0
+        newton = gamma0 - gap / slope if slope > 0.0 else np.nan
+        if not lo < newton < hi:  # also when the step is NaN
+            newton = 0.5 * (lo + hi)
+        done = abs(newton - gamma0) <= _CALIBRATION_XTOL * max(1.0, abs(gamma0))
+        gamma0 = newton
+        if done:
+            break
+    return float(gamma0), mode
 
 
 def gen_setting_two(config: SettingConfig, seed: int):

@@ -228,8 +228,9 @@ class TestFitRegression:
         X = np.column_stack([np.ones(len(y)), x])
         for flavor in (Flavor.ZINB, Flavor.HNB):
             fit_regression(y, X, X if flavor is Flavor.ZINB else None, flavor)
-        # two runs per fit: the logistic start or part, then the NB part
-        assert len(traces) == 4 and all(len(trace) > 2 for trace in traces)
+        # one L-BFGS-B run per fit: the ZINB fit and the hurdle's truncated NB
+        # part; the logistic parts are IRLS (see TestFitLogistic)
+        assert len(traces) == 2 and all(len(trace) > 2 for trace in traces)
         for trace in traces:
             assert np.all(np.diff(trace) >= -1e-7)
 
@@ -278,6 +279,58 @@ def _ztnb_style_nb_negll(y, X):
     theta0 = np.zeros(X.shape[1] + 1)
     theta0[0] = math.log(max(y.mean(), 0.5))
     return minimize(negll, theta0, method="L-BFGS-B", options=dict(maxiter=500)).fun
+
+
+def _logistic_case(name, n=500, seed=3):
+    """(b, Z) of one logistic fit: a zero indicator of setting-one data, or
+    an edge column on a standard-normal covariate."""
+    if name.startswith("setting_one"):
+        flavor = Flavor.ZINB if name.endswith("zinb") else Flavor.HNB
+        y, x = gen_setting_one(setting_one_config(flavor, gamma0=-1.0, n=n), seed=seed)
+        return (y == 0).astype(float), np.column_stack([np.ones(n), x])
+    x = np.random.default_rng(seed).standard_normal(n)
+    b = {"no_zero": np.zeros(n), "all_zero": np.ones(n), "separated": (x < 0).astype(float)}[name]
+    return b, np.column_stack([np.ones(n), x])
+
+
+class TestFitLogistic:
+    """IRLS, the solver of every logistic model."""
+
+    @pytest.mark.parametrize("stretch", [1.0, 10.0])
+    @pytest.mark.parametrize("name", ["setting_one_zinb", "setting_one_hnb", "separated"])
+    def test_accepted_steps_never_lower_the_loglik(self, name, stretch, monkeypatch):
+        """A budget of k iterations ends at the k-th accepted iterate, so
+        raising k walks the accepted steps. Newton steps from gamma = 0 seldom
+        overshoot, so a stretched step makes the halving do the work."""
+        lstsq = np.linalg.lstsq
+        monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: (stretch * lstsq(*a, **k)[0],))
+        b, Z = _logistic_case(name)
+        logliks, converged = [], False
+        for k in range(fitting._IRLS_MAXITER):
+            monkeypatch.setattr(fitting, "_IRLS_MAXITER", k)
+            gamma, _, converged = fitting._fit_logistic(b, Z)
+            logliks.append(-_logistic_negll(gamma, b, Z)[0])
+            if converged:
+                break
+        assert converged and len(logliks) > 3
+        assert np.all(np.diff(logliks) >= 0.0)
+
+    @pytest.mark.parametrize(
+        "name", ["setting_one_zinb", "setting_one_hnb", "no_zero", "all_zero", "separated"]
+    )
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_loglik_reaches_a_tight_scipy_reference(self, name, seed):
+        b, Z = _logistic_case(name, seed=seed)
+        gamma, negll, converged = fitting._fit_logistic(b, Z)
+        reference = minimize(
+            _logistic_negll, np.zeros(2), args=(b, Z), jac=True, method="L-BFGS-B",
+            options=dict(maxiter=10_000, ftol=1e-15, gtol=1e-12),
+        )
+        assert converged and -negll >= -reference.fun - 1e-9
+        if not name.startswith("setting_one"):
+            # the clipped log-likelihood's ceiling: every |eta| at the clip
+            ceiling = -len(b) * math.log1p(math.exp(-_ETA_CLIP))
+            assert -negll >= ceiling - 1e-9
 
 
 class TestFitInterceptOnly:

@@ -73,8 +73,8 @@ GOLDEN_CONFIGS = {
 }
 
 GOLDEN_DIGESTS = {
-    "setting_one": "11523f8c6fd600502e405e54f7e7249ff3397e4c8061ced4151ed3e1d42c343a",
-    "setting_one_deflation": "9654643c674c168327ba07aaaca34633cccb431bba5a74b76ffbc3d4873d0263",
+    "setting_one": "78845f4b618da3037a87b219ab896f15d14405d757feefeadfc953740487a755",
+    "setting_one_deflation": "dd5ac6502b808b8aab9fdc73d2daf34ceda07acaf1c9c30c32ce670daf218e01",
     "setting_two": "7a2c31de53ee23b2ced6fe0933b0243517a369a5b5d09688ccd5a96edb1119c9",
     "setting_three": "10c7131b123196cda13a0a7e1d70aa35b5a79c3d2e9423d997d5be2ff963af51",
     "real_data": "200cc6089e50c2e795ba5e9c0b693ff7d7f88687cb453d9d92465978880ad4a6",

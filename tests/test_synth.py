@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 from scipy.special import expit, logit
 from scipy.stats import spearmanr
 
@@ -180,6 +181,28 @@ class TestCalibrateGamma0:
         cfg = setting_one_config(Flavor.HNB, gamma0=0.0)
         with pytest.raises(ValueError):
             resolve_setting_one_gamma0(cfg, 1.2, seed=0)
+
+    @pytest.mark.parametrize("seed", [0, 11, 13])
+    @pytest.mark.parametrize("flavor", [Flavor.ZINB, Flavor.HNB])
+    def test_newton_root_matches_a_brentq_reference(self, seed, flavor):
+        """On criterion 2's grid: the same mode, and the root of a tight
+        bracketing search on the same 1e5-draw curve."""
+        cfg = setting_one_config(flavor, gamma0=0.0)
+        x = np.random.default_rng(seed).standard_normal(100_000)
+        mu = np.exp(cfg.beta0 + cfg.beta1 * x)
+        nb0 = np.exp(-cfg.r * np.log1p(mu / cfg.r))
+
+        def zero_prob(gamma0, structural):
+            pi = expit(gamma0 + cfg.gamma1 * x)
+            return (pi if structural else pi + (1.0 - pi) * nb0).mean()
+
+        for target in (0.2, 0.4, 0.6):
+            below_floor = flavor is Flavor.ZINB and target <= zero_prob(-40.0, False)
+            structural = below_floor or flavor is Flavor.HNB
+            reference = brentq(lambda g: zero_prob(g, structural) - target, -40.0, 40.0, xtol=1e-14)
+            gamma0, mode = resolve_setting_one_gamma0(cfg, target, seed)
+            assert mode == ("structural" if below_floor else "total")
+            assert abs(gamma0 - reference) <= 1e-10
 
 
 class TestGenSettingTwo:
