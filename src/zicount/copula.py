@@ -28,6 +28,7 @@ from scipy.special import ndtr, ndtri
 from scipy.stats import qmc
 
 from . import bridge_table
+from .counts import _zero_share
 from .exceptions import (
     ClampedCorrelationWarning,
     ConstantColumnError,
@@ -116,9 +117,7 @@ def zero_truncation_levels(data) -> np.ndarray:
     n = Y.shape[0]
     if n < 2:
         raise ValueError("need at least 2 observations")
-    pi_hat = np.mean(Y == 0, axis=0)
-    lo = 1.0 / (4.0 * n)
-    return ndtri(np.clip(pi_hat, lo, 1.0 - lo))
+    return ndtri(_zero_share((Y == 0).sum(axis=0), n))
 
 
 def bridge_tt(sigma_jk: float, delta_j: float, delta_k: float) -> float:

@@ -76,13 +76,27 @@ def _check_counts(y) -> np.ndarray:
     return y
 
 
+def _zero_share(n_zero, n):
+    """The zero fraction ``n_zero / n`` clamped to [1/(4n), 1 - 1/(4n)], so a
+    sample with no zeros, or nothing but zeros, keeps a finite logit or
+    Gaussian quantile."""
+    lo = 1.0 / (4.0 * n)
+    return np.clip(n_zero / n, lo, 1.0 - lo)
+
+
 def _log_nb_zero(mu, r):
     """log NB(0; mu, r) = -r*log(1 + mu/r), via log1p so the mu -> 0 limit is exact."""
     return -r * np.log1p(np.asarray(mu, dtype=float) / r)
 
 
-def _nb_logpmf(y, mu, r, score=False):
-    """log NB(y; mu, r), vectorized over y, mu and r.
+def _nb_positive(log_p0):
+    """1 - NB(0) from log NB(0), to full relative precision as NB(0) -> 1."""
+    return -np.expm1(log_p0)
+
+
+def _nb_logpmf(y, mu, r, score=False, truncated=False):
+    """log NB(y; mu, r), vectorized over y, mu and r; with ``truncated`` the
+    zero-truncated NB, log NB(y) - log(1 - NB(0)).
 
     With ``score=True`` also returns the derivatives in eta = log mu and in
     log r, as ``(logpmf, d_eta, d_log_r)``; every fitting objective and
@@ -90,16 +104,28 @@ def _nb_logpmf(y, mu, r, score=False):
     """
     y = np.asarray(y, dtype=float)
     log_p0 = _log_nb_zero(mu, r)
+    mu_r = mu + r
     with np.errstate(divide="ignore", invalid="ignore"):
-        count_term = y * (np.log(mu) - np.log(mu + r))
+        count_term = y * (np.log(mu) - np.log(mu_r))
     # y = 0 contributes nothing, even where mu underflowed to 0
     count_term = np.where(y == 0, 0.0, count_term)
-    logpmf = gammaln(y + r) - gammaln(r) - gammaln(y + 1) + count_term + log_p0
+    y_r = y + r
+    logpmf = gammaln(y_r) - gammaln(r) - gammaln(y + 1) + count_term + log_p0
+    if truncated:
+        log_pos = np.log(_nb_positive(log_p0))
+        logpmf = logpmf - log_pos
     if not score:
         return logpmf
-    d_eta = r * (y - mu) / (mu + r)
+    d_eta = r * (y - mu) / mu_r
     # r*[psi(y+r) - psi(r) - (y - mu)/(mu + r) - log1p(mu/r)]
-    d_log_r = r * (digamma(y + r) - digamma(r)) - d_eta + log_p0
+    d_log_r = r * (digamma(y_r) - digamma(r)) - d_eta + log_p0
+    if truncated:
+        # d[-log(1 - NB(0))] = NB(0)/(1 - NB(0)) * d log NB(0), where log NB(0)
+        # has the derivatives -r*mu/(mu + r) in eta and log NB(0) + r*mu/(mu + r) in log r
+        odds0 = np.exp(log_p0 - log_pos)
+        d0_eta = -r * mu / mu_r
+        d_eta = d_eta + odds0 * d0_eta
+        d_log_r = d_log_r + odds0 * (log_p0 - d0_eta)
     return logpmf, d_eta, d_log_r
 
 
@@ -147,7 +173,7 @@ def hnb_pmf(y, params: CountParams):
     arr = np.asarray(y)
     pi = params.pi
     if np.any(arr > 0):
-        denom = -np.expm1(_log_nb_zero(params.mu, params.r))
+        denom = _nb_positive(_log_nb_zero(params.mu, params.r))
         if denom <= 0.0:
             raise DegenerateTruncationError(
                 f"1 - NB(0) underflowed for mu={params.mu}, r={params.r}"
@@ -178,7 +204,7 @@ def _sample_zero_truncated_nb(rng: np.random.Generator, mu, r):
     raises :class:`CountOverflowError`.
     """
     mu = np.asarray(mu, dtype=float)
-    p_pos = -np.expm1(_log_nb_zero(mu, r))
+    p_pos = _nb_positive(_log_nb_zero(mu, r))
     if np.any(p_pos <= 0.0):
         raise DegenerateTruncationError("1 - NB(0) underflowed; truncated NB undefined")
     y = nbinom.isf(p_pos * (1.0 - rng.random(mu.shape)), r, r / (r + mu))

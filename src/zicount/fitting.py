@@ -9,13 +9,12 @@ is fitted by IRLS.
 """
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.special import expit, gammaln, logit
+from scipy.special import expit, logit
 
-from .counts import Flavor, _check_counts, _log_nb_zero, _nb_logpmf
+from .counts import Flavor, _check_counts, _log_nb_zero, _nb_logpmf, _nb_positive, _zero_share
 from .exceptions import (
     DegenerateDataError,
     IllConditionedDesignError,
@@ -26,7 +25,6 @@ from .exceptions import (
 __all__ = [
     "RegressionCoefficients",
     "RegressionFit",
-    "ZinbLoglikTerms",
     "zinb_loglik",
     "hnb_loglik",
     "fit_regression",
@@ -38,7 +36,6 @@ __all__ = [
 # e^30 ~ 1.07e13 sits far above any count in scope
 _ETA_CLIP = 30.0
 _LOG_R_CLIP = 15.0
-_HISTOGRAM_CLIPS = np.array([_ETA_CLIP, _LOG_R_CLIP])
 # budget and tolerances of every L-BFGS-B run (on analytic gradients)
 _LBFGSB_OPTIONS = dict(maxiter=500, ftol=1e-9, gtol=1e-5)
 # IRLS stops once g'H^+g, the gradient of the clipped logistic objective
@@ -93,16 +90,6 @@ class RegressionFit:
         return 2.0 * self.n_params - 2.0 * self.loglik
 
 
-class ZinbLoglikTerms(NamedTuple):
-    """The four ZINB log-likelihood terms and their total (t1+t2+t3-t4)."""
-
-    l1: float
-    l2: float
-    l3: float
-    l4: float
-    total: float
-
-
 def _design(X) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
@@ -120,11 +107,10 @@ def _mu_or_raise(eta):
     return mu
 
 
-def zinb_loglik(y, X, Z, coef: RegressionCoefficients) -> ZinbLoglikTerms:
-    """ZINB regression log-likelihood, split into its four terms.
-
-    The total equals the sum of per-observation log zinb pmf values with
-    mu_i = exp(x_i'beta), pi_i = expit(z_i'gamma) and shared dispersion.
+def zinb_loglik(y, X, Z, coef: RegressionCoefficients) -> float:
+    """ZINB regression log-likelihood: the sum of per-observation log zinb
+    pmf values with mu_i = exp(x_i'beta), pi_i = expit(z_i'gamma) and shared
+    dispersion.
     """
     y = np.asarray(y)
     X, Z = _design(X), _design(Z)
@@ -134,15 +120,10 @@ def zinb_loglik(y, X, Z, coef: RegressionCoefficients) -> ZinbLoglikTerms:
     mu = _mu_or_raise(eta_mu)
 
     zero = y == 0
-    yp = y[~zero].astype(float)
-    mup = mu[~zero]
-
-    l1 = float(np.logaddexp(eta_pi[zero], _log_nb_zero(mu[zero], r)).sum())
-    l2 = float((gammaln(yp + r) - gammaln(r)).sum())
-    # l3 is the rest of the NB log pmf of the positives
-    l3 = float(_nb_logpmf(yp, mup, r).sum()) - l2
-    l4 = float(np.logaddexp(0.0, eta_pi).sum())
-    return ZinbLoglikTerms(l1, l2, l3, l4, l1 + l2 + l3 - l4)
+    # a zero is structural or an NB zero; every observation pays log(1 + e^eta_pi)
+    zeros = np.logaddexp(eta_pi[zero], _log_nb_zero(mu[zero], r)).sum()
+    positives = _nb_logpmf(y[~zero], mu[~zero], r).sum()
+    return float(zeros + positives - np.logaddexp(0.0, eta_pi).sum())
 
 
 def hnb_loglik(y, X, coef: RegressionCoefficients) -> float:
@@ -168,9 +149,8 @@ def hnb_loglik(y, X, coef: RegressionCoefficients) -> float:
     yp = y[~zero].astype(float)
     if yp.size:
         mup = mu[~zero]
-        log_nb0 = _log_nb_zero(mup, r)
         with np.errstate(divide="ignore"):
-            log_denom = np.log(-np.expm1(log_nb0))
+            log_denom = np.log(_nb_positive(_log_nb_zero(mup, r)))
         if not np.all(np.isfinite(log_denom)):
             return -np.inf
         total += float((log_1m_pi[~zero] + _nb_logpmf(yp, mup, r) - log_denom).sum())
@@ -184,12 +164,14 @@ def hnb_loglik(y, X, coef: RegressionCoefficients) -> float:
 
 def _clipped(v, bound):
     """``v`` clipped to [-bound, bound], and the clip's derivative (1 or 0)."""
-    return np.clip(v, -bound, bound), np.abs(v) <= bound
+    # np.minimum/np.maximum give np.clip's values at half its call overhead
+    return np.minimum(np.maximum(v, -bound), bound), np.abs(v) <= bound
 
 
 def _clip_log_r(log_r) -> float:
-    """The stored dispersion is the one the objective saw."""
-    return float(np.clip(log_r, -_LOG_R_CLIP, _LOG_R_CLIP))
+    """log r clipped as the objectives clip it; the stored dispersion is the
+    one the objective saw."""
+    return min(max(float(log_r), -_LOG_R_CLIP), _LOG_R_CLIP)
 
 
 def _logistic_negll(gamma, b, Z, hessian=False):
@@ -207,7 +189,7 @@ def _zinb_negll(theta, y, X, Z):
     q1 = X.shape[1]
     eta_mu, in_mu = _clipped(X @ theta[:q1], _ETA_CLIP)
     eta_pi, in_pi = _clipped(Z @ theta[q1:-1], _ETA_CLIP)
-    log_r, in_r = _clipped(theta[-1], _LOG_R_CLIP)
+    log_r, in_r = _clip_log_r(theta[-1]), abs(theta[-1]) <= _LOG_R_CLIP
     log_nb, d_eta, d_log_r = _nb_logpmf(y, np.exp(eta_mu), np.exp(log_r), score=True)
 
     zero = y == 0
@@ -222,19 +204,23 @@ def _zinb_negll(theta, y, X, Z):
     return -float(ll), -np.concatenate([X.T @ g_mu, Z.T @ g_pi, [g_r]])
 
 
-def _ztnb_negll(theta, y, X):
-    eta, in_eta = _clipped(X @ theta[:-1], _ETA_CLIP)
-    log_r, in_r = _clipped(theta[-1], _LOG_R_CLIP)
-    mu, r = np.exp(eta), np.exp(log_r)
-    log_nb, d_eta, d_log_r = _nb_logpmf(y, mu, r, score=True)
-    log_nb0, d0_eta, d0_log_r = _nb_logpmf(0.0, mu, r, score=True)
-    # the clips keep 1 - NB(0) >= ~e^-30, so log_denom is finite
-    log_denom = np.log(-np.expm1(log_nb0))
-    # d[-log(1 - NB(0))] = NB(0)/(1 - NB(0)) * d log NB(0)
-    odds0 = np.exp(log_nb0 - log_denom)
-    g_eta = (d_eta + odds0 * d0_eta) * in_eta
-    g_r = (d_log_r + odds0 * d0_log_r).sum() * in_r
-    return -float((log_nb - log_denom).sum()), -np.append(X.T @ g_eta, g_r)
+def _nb_negll(theta, X, y, w, truncated):
+    """NB objective in theta = (beta, log r). Row i has the count y_i, the
+    weight w_i (the number of observations it stands for) and the mean
+    exp(x_i'beta); ``X`` None is the intercept-only design, one mean
+    exp(beta_0) for every row. With ``truncated`` each row is a
+    zero-truncated NB. The hurdle regression passes one row per positive
+    count and w = 1.0; the intercept-only fits pass the distinct counts and
+    how often each occurs."""
+    # X None keeps the intercept a scalar; a column of ones would make each
+    # intercept-only call about a fifth dearer
+    eta, in_eta = _clipped(theta[0] if X is None else X @ theta[:-1], _ETA_CLIP)
+    log_r, in_r = _clip_log_r(theta[-1]), abs(theta[-1]) <= _LOG_R_CLIP
+    # the clips keep 1 - NB(0) >= ~e^-30, so a truncated log pmf is finite
+    log_nb, d_eta, d_log_r = _nb_logpmf(y, np.exp(eta), np.exp(log_r), score=True, truncated=truncated)
+    g_eta = w * d_eta * in_eta
+    grad = np.concatenate([[g_eta.sum()] if X is None else X.T @ g_eta, [(w * d_log_r).sum() * in_r]])
+    return -float((w * log_nb).sum()), -grad
 
 
 def _minimize(fun, x0, args):
@@ -342,7 +328,7 @@ def fit_regression(y, X, Z=None, flavor: Flavor = Flavor.ZINB) -> RegressionFit:
         x, _, ok = _minimize(_zinb_negll, theta0, (y.astype(float), X, Z))
         coef = RegressionCoefficients(beta=x[:q1], gamma=x[q1 : q1 + q2], log_r=_clip_log_r(x[-1]))
         # report the unclipped likelihood at the optimum
-        return _result(coef, zinb_loglik(y, X, Z, coef).total, flavor, ok, n)
+        return _result(coef, zinb_loglik(y, X, Z, coef), flavor, ok, n)
     if flavor is Flavor.HNB:
         if not np.array_equal(Z, X, equal_nan=True):
             raise ValueError("the hurdle model uses one shared design; pass Z=None")
@@ -352,36 +338,10 @@ def fit_regression(y, X, Z=None, flavor: Flavor = Flavor.ZINB) -> RegressionFit:
         g, _, ok_g = _fit_logistic((y == 0).astype(float), X)
         # the zero-truncated NB part on the positive counts, same design
         theta0 = np.append(_init_beta(y, X), 0.0)
-        x, _, ok = _minimize(_ztnb_negll, theta0, (y[pos].astype(float), X[pos]))
+        x, _, ok = _minimize(_nb_negll, theta0, (X[pos], y[pos].astype(float), 1.0, True))
         coef = RegressionCoefficients(beta=x[:-1], gamma=g, log_r=_clip_log_r(x[-1]))
         return _result(coef, hnb_loglik(y, X, coef), flavor, ok_g and ok, n)
     raise ValueError("fit_regression supports ZINB and HNB; use fit_intercept_only for NB")
-
-
-def _histogram(y):
-    """Distinct values of ``y`` with 0 first, and how often each occurs
-    (the count of 0 may be 0), both as floats."""
-    values, counts = np.unique(np.append(y, 0), return_counts=True)
-    counts[0] -= 1
-    return values.astype(float), counts.astype(float)
-
-
-def _histogram_negll(theta, values, counts, n_truncated):
-    """Intercept-only NB objective in (eta, log r) on a histogram:
-    ``counts[k]`` observations equal ``values[k]``, and ``values[0]`` is 0.
-    With ``n_truncated`` > 0 it is the zero-truncated NB of that many
-    positives (``counts[0]`` must then be 0); row 0 supplies NB(0)."""
-    (eta, log_r), inside = _clipped(theta, _HISTOGRAM_CLIPS)
-    log_nb, d_eta, d_log_r = _nb_logpmf(values, np.exp(eta), np.exp(log_r), score=True)
-    ll = counts @ log_nb
-    grad = np.array([counts @ d_eta, counts @ d_log_r])
-    if n_truncated:
-        # the clips keep 1 - NB(0) >= ~e^-30, so log_denom is finite
-        log_denom = np.log(-np.expm1(log_nb[0]))
-        ll -= n_truncated * log_denom
-        # d[-log(1 - NB(0))] = NB(0)/(1 - NB(0)) * d log NB(0)
-        grad += n_truncated * np.exp(log_nb[0] - log_denom) * np.array([d_eta[0], d_log_r[0]])
-    return -float(ll), -grad * inside
 
 
 def fit_intercept_only(y, flavor: Flavor) -> RegressionFit:
@@ -401,29 +361,30 @@ def fit_intercept_only(y, flavor: Flavor) -> RegressionFit:
     if flavor is Flavor.ZINB:
         return fit_regression(y, np.ones((n, 1)), None, Flavor.ZINB)
 
-    values, counts = _histogram(y)
+    values, counts = (a.astype(float) for a in np.unique(y, return_counts=True))
     if flavor is Flavor.HNB:
-        n_zero, n_pos = counts[0], n - counts[0]
+        pos = values > 0
+        values, counts = values[pos], counts[pos]
+        n_pos = counts.sum()
         if not n_pos:
             raise DegenerateDataError("hurdle fit needs at least one positive count")
-        # keep the logit finite when the sample has no zeros (or none positive)
-        pi_hat = min(max(n_zero / n, 1.0 / (4.0 * n)), 1.0 - 1.0 / (4.0 * n))
-        counts[0] = 0.0
         # the start of the regression fit: mean log count of the positives
-        log_mean = np.clip(counts[1:] @ np.log(values[1:]) / n_pos, -10.0, 10.0)
-        x, negll, ok = _minimize(_histogram_negll, np.array([log_mean, 0.0]), (values, counts, n_pos))
-        coef = RegressionCoefficients(beta=x[:1], gamma=[logit(pi_hat)], log_r=_clip_log_r(x[-1]))
-        loglik = n_zero * np.log(pi_hat) + n_pos * np.log1p(-pi_hat) - negll
-        return _result(coef, loglik, Flavor.HNB, ok, n)
-
-    # NB: moment initialization refined by MLE
-    mean = counts @ values / n
-    m, var = max(mean, 1e-6), counts @ (values - mean) ** 2 / n
-    r = m * m / (var - m) if var > m else 100.0
-    theta0 = np.array([np.log(m), np.log(np.clip(r, 1e-3, 1e3))])
-    x, negll, ok = _minimize(_histogram_negll, theta0, (values, counts, 0))
-    coef = RegressionCoefficients(beta=x[:1], gamma=np.empty(0), log_r=_clip_log_r(x[-1]))
-    return _result(coef, -negll, Flavor.NB, ok, n)
+        theta0 = np.array([np.clip(counts @ np.log(values) / n_pos, -10.0, 10.0), 0.0])
+    else:
+        # NB: moment initialization refined by MLE
+        mean = counts @ values / n
+        m, var = max(mean, 1e-6), counts @ (values - mean) ** 2 / n
+        r = m * m / (var - m) if var > m else 100.0
+        theta0 = np.array([np.log(m), np.log(np.clip(r, 1e-3, 1e3))])
+    x, negll, ok = _minimize(_nb_negll, theta0, (None, values, counts, flavor is Flavor.HNB))
+    if flavor is Flavor.NB:
+        coef = RegressionCoefficients(beta=x[:1], gamma=np.empty(0), log_r=_clip_log_r(x[-1]))
+        return _result(coef, -negll, flavor, ok, n)
+    n_zero = n - n_pos
+    # keep the logit finite when the sample has no zeros
+    pi_hat = _zero_share(n_zero, n)
+    coef = RegressionCoefficients(beta=x[:1], gamma=[logit(pi_hat)], log_r=_clip_log_r(x[-1]))
+    return _result(coef, n_zero * np.log(pi_hat) + n_pos * np.log1p(-pi_hat) - negll, flavor, ok, n)
 
 
 def _score(theta, y, X, Z, flavor):
@@ -434,7 +395,7 @@ def _score(theta, y, X, Z, flavor):
     # zero-truncated NB part scores (beta, log r)
     q1 = X.shape[1]
     pos = y > 0
-    d_b = -_ztnb_negll(np.append(theta[:q1], theta[-1]), y[pos].astype(float), X[pos])[1]
+    d_b = -_nb_negll(np.append(theta[:q1], theta[-1]), X[pos], y[pos].astype(float), 1.0, True)[1]
     d_g = -_logistic_negll(theta[q1:-1], (y == 0).astype(float), X)[1]
     return np.concatenate([d_b[:-1], d_g, d_b[-1:]])
 

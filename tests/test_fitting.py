@@ -32,13 +32,11 @@ from zicount.exceptions import (
 from zicount.fitting import (
     _ETA_CLIP,
     _LOG_R_CLIP,
-    _histogram,
-    _histogram_negll,
     _logistic_negll,
     _minimize,
+    _nb_negll,
     _observed_information,
     _zinb_negll,
-    _ztnb_negll,
 )
 from zicount.synth import gen_setting_one, setting_one_config
 
@@ -63,25 +61,15 @@ class TestZinbLoglik:
         y = np.array([0])
         X = np.ones((1, 1))
         coef = RegressionCoefficients(beta=[0.7], gamma=[-40.0], log_r=0.3)
-        terms = zinb_loglik(y, X, X, coef)
         nb0 = nb_log_pmf(0, CountParams(math.exp(0.7), coef.r, flavor=Flavor.NB))
-        assert terms.total == pytest.approx(nb0, abs=1e-10)
+        assert zinb_loglik(y, X, X, coef) == pytest.approx(nb0, abs=1e-10)
 
     def test_matches_pmf_sum_oracle(self):
         rng = np.random.default_rng(0)
         y = np.array([0, 3, 7])
         X = np.column_stack([np.ones(3), rng.normal(size=3)])
         coef = RegressionCoefficients(beta=[0.5, 0.3], gamma=[-0.4, 0.8], log_r=-0.2)
-        terms = zinb_loglik(y, X, X, coef)
-        assert terms.total == pytest.approx(terms.l1 + terms.l2 + terms.l3 - terms.l4, abs=1e-12)
-        assert terms.total == pytest.approx(pmf_sum_oracle(y, X, X, coef, Flavor.ZINB), abs=1e-8)
-
-    def test_l2_empty_when_all_zero(self):
-        y = np.zeros(5, dtype=int)
-        X = np.ones((5, 1))
-        coef = RegressionCoefficients(beta=[0.1], gamma=[0.2], log_r=0.0)
-        terms = zinb_loglik(y, X, X, coef)
-        assert terms.l2 == 0.0
+        assert zinb_loglik(y, X, X, coef) == pytest.approx(pmf_sum_oracle(y, X, X, coef, Flavor.ZINB), abs=1e-8)
 
     def test_overflow_raises(self):
         y = np.array([0, 1, 2])
@@ -131,7 +119,7 @@ def test_likelihood_equivalence_property(n, beta0, beta1, gamma0, gamma1, log_r,
     X = np.column_stack([np.ones(n), x])
     y = rng.poisson(np.exp(np.clip(beta0 + beta1 * x, -10, 3)))
     coef = RegressionCoefficients(beta=[beta0, beta1], gamma=[gamma0, gamma1], log_r=log_r)
-    assert zinb_loglik(y, X, X, coef).total == pytest.approx(
+    assert zinb_loglik(y, X, X, coef) == pytest.approx(
         pmf_sum_oracle(y, X, X, coef, Flavor.ZINB), abs=1e-8
     )
     assert hnb_loglik(y, X, coef) == pytest.approx(
@@ -414,6 +402,30 @@ class TestFitInterceptOnly:
         assert fit.loglik == pytest.approx(hnb_loglik(y, np.ones((len(y), 1)), fit.coefficients), abs=1e-9)
 
 
+def _histogram_shape(y, truncated):
+    """The intercept-only fits' arguments of ``_nb_negll``: no design, the
+    distinct values of ``y`` and how often each occurs."""
+    values, counts = np.unique(y, return_counts=True)
+    return None, values.astype(float), counts.astype(float), truncated
+
+
+@pytest.mark.parametrize("truncated", [False, True])
+def test_regression_and_histogram_shapes_agree(truncated):
+    """The regression's call shape (one row per observation, unit weights)
+    with a design of ones is the histogram's call shape on the same counts,
+    in value and gradient."""
+    rng = np.random.default_rng(11)
+    y = rng.negative_binomial(0.8, 0.15, size=240).astype(float)
+    if truncated:
+        y += 1.0
+    for theta in ([1.2, -0.4], [3.0, 2.5], [-2.0, 6.0], [0.3, -9.0]):
+        theta = np.array(theta)
+        value, grad = _nb_negll(theta, np.ones((len(y), 1)), y, 1.0, truncated)
+        h_value, h_grad = _nb_negll(theta, *_histogram_shape(y, truncated))
+        assert h_value == pytest.approx(value, rel=1e-12)
+        np.testing.assert_allclose(h_grad, grad, rtol=1e-12)
+
+
 def test_minimize_calls_its_objective_nfev_times(monkeypatch):
     """The start value and its finiteness check come from the optimizer's
     own first evaluation, so no objective call falls outside ``nfev``."""
@@ -425,15 +437,15 @@ def test_minimize_calls_its_objective_nfev_times(monkeypatch):
 
     def objective(theta, *args):
         calls.append(np.array(theta))
-        return _histogram_negll(theta, *args)
+        return _nb_negll(theta, *args)
 
     monkeypatch.setattr(fitting, "minimize", spy)
-    values, counts = _histogram(np.array([0, 0, 1, 2, 2, 3, 5, 8, 13, 0, 4]))
+    args = _histogram_shape(np.array([0, 0, 1, 2, 2, 3, 5, 8, 13, 0, 4]), truncated=False)
     theta0 = np.array([0.5, 0.0])
-    x, negll, _ = _minimize(objective, theta0, (values, counts, 0))
+    x, negll, _ = _minimize(objective, theta0, args)
     assert len(runs) == 1 and len(calls) == runs[0].nfev
     np.testing.assert_array_equal(calls[0], theta0)
-    assert negll == _histogram_negll(x, values, counts, 0)[0]
+    assert negll == _nb_negll(x, *args)[0]
 
 
 def _second_difference_information(y, X, Z, fit, step=1e-4):
@@ -446,7 +458,7 @@ def _second_difference_information(y, X, Z, fit, step=1e-4):
 
     def loglik(t):
         c = RegressionCoefficients(t[:q1], t[q1 : q1 + q2], t[-1])
-        return zinb_loglik(y, X, Z, c).total if fit.flavor is Flavor.ZINB else hnb_loglik(y, X, c)
+        return zinb_loglik(y, X, Z, c) if fit.flavor is Flavor.ZINB else hnb_loglik(y, X, c)
 
     m = len(theta)
     hess = np.empty((m, m))
@@ -534,7 +546,7 @@ _near_or_inside = lambda clip: st.one_of(  # noqa: E731
 
 
 @given(
-    objective=st.sampled_from(["logistic", "zinb", "ztnb", "histogram", "histogram_truncated"]),
+    objective=st.sampled_from(["logistic", "zinb", "regression", "histogram", "histogram_truncated"]),
     column=st.sampled_from(["mixed", "all_zero", "no_zero"]),
     n=st.integers(3, 25),
     seed=st.integers(0, 2**31),
@@ -566,18 +578,18 @@ def test_objective_gradient_matches_central_difference(objective, column, n, see
     elif objective == "zinb":
         fun, theta, args = _zinb_negll, np.concatenate([beta, gamma, [log_r]]), (y, X, X)
         size = _nb_term_size(y, X @ beta, log_r) + float(np.abs(X @ gamma).sum())
-    elif objective == "ztnb":
+    elif objective == "regression":
         assume(column != "all_zero")
         pos = y > 0
-        fun, theta, args = _ztnb_negll, np.append(beta, log_r), (y[pos], X[pos])
+        fun, theta, args = _nb_negll, np.append(beta, log_r), (X[pos], y[pos], 1.0, True)
         size = 2.0 * _nb_term_size(y[pos], X[pos] @ beta, log_r)
     elif objective == "histogram":
-        fun, theta, args = _histogram_negll, np.array([eta_mu, log_r]), (*_histogram(y), 0)
+        fun, theta, args = _nb_negll, np.array([eta_mu, log_r]), _histogram_shape(y, truncated=False)
         size = _nb_term_size(y, np.full(n, eta_mu), log_r)
     else:
         assume(column != "all_zero")
         pos = y[y > 0]
-        fun, theta, args = _histogram_negll, np.array([eta_mu, log_r]), (*_histogram(pos), len(pos))
+        fun, theta, args = _nb_negll, np.array([eta_mu, log_r]), _histogram_shape(pos, truncated=True)
         size = 2.0 * _nb_term_size(pos, np.full(len(pos), eta_mu), log_r)
     value, grad = fun(theta, *args)
     assert np.isfinite(value) and grad.shape == theta.shape
@@ -591,7 +603,7 @@ _extreme = st.one_of(st.sampled_from([-1e6, 0.0, 1e6]), st.floats(-1e6, 1e6))
 
 
 @given(
-    objective=st.sampled_from(["logistic", "zinb", "ztnb", "histogram", "histogram_truncated"]),
+    objective=st.sampled_from(["logistic", "zinb", "regression", "histogram", "histogram_truncated"]),
     theta=st.lists(_extreme, min_size=5, max_size=5),
     y=st.lists(st.integers(0, 10**6), min_size=1, max_size=20),
     seed=st.integers(0, 2**31),
@@ -606,9 +618,9 @@ def test_objectives_stay_finite_at_extreme_parameters(objective, theta, y, seed)
     fun, t, args = {
         "logistic": (_logistic_negll, theta[:2], ((y == 0).astype(float), X)),
         "zinb": (_zinb_negll, theta, (y, X, X)),
-        "ztnb": (_ztnb_negll, theta[:3], (np.maximum(y, 1.0), X)),
-        "histogram": (_histogram_negll, theta[:2], (*_histogram(y), 0)),
-        "histogram_truncated": (_histogram_negll, theta[:2], (*_histogram(np.maximum(y, 1.0)), len(y))),
+        "regression": (_nb_negll, theta[:3], (X, np.maximum(y, 1.0), 1.0, True)),
+        "histogram": (_nb_negll, theta[:2], _histogram_shape(y, truncated=False)),
+        "histogram_truncated": (_nb_negll, theta[:2], _histogram_shape(np.maximum(y, 1.0), truncated=True)),
     }[objective]
     with np.errstate(over="raise", divide="raise", invalid="raise"):
         value, grad = fun(t, *args)

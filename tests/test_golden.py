@@ -14,7 +14,8 @@ order of a table's rows moves a digest here. Such a change updates the
 digest in the same commit and says which experiment kinds moved and why.
 Run as a script (``python tests/test_golden.py`` from a checkout), this
 file prints every golden config's current digest in the form of
-``GOLDEN_DIGESTS``. The digests were recorded on the numpy and scipy
+``GOLDEN_DIGESTS``, each marked ``same`` or ``moved`` against the committed
+digest. The digests were recorded on the numpy and scipy
 versions below; other versions may differ in the last bits of ``eigh`` or
 ``gammaln``, so there the digest checks are skipped.
 """
@@ -73,8 +74,8 @@ GOLDEN_CONFIGS = {
 }
 
 GOLDEN_DIGESTS = {
-    "setting_one": "78845f4b618da3037a87b219ab896f15d14405d757feefeadfc953740487a755",
-    "setting_one_deflation": "dd5ac6502b808b8aab9fdc73d2daf34ceda07acaf1c9c30c32ce670daf218e01",
+    "setting_one": "0da55c97c811d0e65114374fc440ebff5c2d337006a427bd30dcabea7189f3f7",
+    "setting_one_deflation": "c8b414a1a1a21963cb3f6d6e2fd3b4352afc4db486c3ed8517308e661d00c725",
     "setting_two": "7a2c31de53ee23b2ced6fe0933b0243517a369a5b5d09688ccd5a96edb1119c9",
     "setting_three": "10c7131b123196cda13a0a7e1d70aa35b5a79c3d2e9423d997d5be2ff963af51",
     "real_data": "200cc6089e50c2e795ba5e9c0b693ff7d7f88687cb453d9d92465978880ad4a6",
@@ -135,14 +136,17 @@ def test_shipped_config_fingerprint_is_unchanged(name):
 
 def print_golden_digests():
     """Print each golden config's digest on this tree, as the body of
-    ``GOLDEN_DIGESTS``, with the numpy and scipy versions they hold for."""
+    ``GOLDEN_DIGESTS`` with each kind marked ``same`` or ``moved``, and the
+    numpy and scipy versions they hold for."""
     print(f"# numpy {np.__version__}, scipy {scipy.__version__}")
     with tempfile.TemporaryDirectory() as tmp:
         for name, kwargs in GOLDEN_CONFIGS.items():
             config = ExperimentConfig(seed=1, out=str(Path(tmp) / name), **kwargs)
             with pytest.MonkeyPatch.context() as monkeypatch, warnings.catch_warnings():
                 warnings.simplefilter("ignore", ClampedCorrelationWarning)
-                print(f'    "{name}": "{golden_digest(config, monkeypatch)}",')
+                digest = golden_digest(config, monkeypatch)
+                mark = "same" if digest == GOLDEN_DIGESTS[name] else "moved"
+                print(f'    "{name}": "{digest}",  # {mark}')
 
 
 if __name__ == "__main__":
