@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -16,7 +17,9 @@ from zicount import (
     fit_regression,
     hnb_loglik,
     hnb_pmf,
+    make_qmp_standin,
     nb_log_pmf,
+    rescale_power,
     standard_errors,
     zinb_loglik,
     zinb_pmf,
@@ -29,6 +32,7 @@ from zicount.exceptions import (
     NonFiniteCoefficientsError,
     ZicountError,
 )
+from zicount.counts import _nb_logpmf
 from zicount.fitting import (
     _ETA_CLIP,
     _LOG_R_CLIP,
@@ -189,17 +193,18 @@ class TestFitRegression:
     def test_monotone_trace(self, monkeypatch):
         """Every optimizer run ascends: the log-likelihood at the start and
         after each iteration, recorded by a callback that a spy on
-        ``fitting.minimize`` injects, never falls."""
+        ``fitting.minimize`` injects, never falls. L-BFGS-B objectives
+        return (value, gradient), Newton ones (value, gradient, Hessian)."""
         traces = []
 
         def spy(fun, x0, **kwargs):
             trace = []
 
             def recorded(x, *args):
-                value, grad = fun(x, *args)
+                out = fun(x, *args)
                 if not trace:
-                    trace.append(-value)
-                return value, grad
+                    trace.append(-out[0])
+                return out
 
             # scipy passes the OptimizeResult to a callback whose one
             # parameter is named intermediate_result
@@ -216,9 +221,12 @@ class TestFitRegression:
         X = np.column_stack([np.ones(len(y)), x])
         for flavor in (Flavor.ZINB, Flavor.HNB):
             fit_regression(y, X, X if flavor is Flavor.ZINB else None, flavor)
-        # one L-BFGS-B run per fit: the ZINB fit and the hurdle's truncated NB
-        # part; the logistic parts are IRLS (see TestFitLogistic)
-        assert len(traces) == 2 and all(len(trace) > 2 for trace in traces)
+        for flavor in (Flavor.HNB, Flavor.NB):
+            fit_intercept_only(y, flavor)
+        # one run per fit: L-BFGS-B for the ZINB fit and the hurdle's truncated
+        # NB part, Newton for the intercept-only fits; the logistic parts call
+        # the Newton loop directly (see TestFitLogistic)
+        assert len(traces) == 4 and all(len(trace) > 2 for trace in traces)
         for trace in traces:
             assert np.all(np.diff(trace) >= -1e-7)
 
@@ -281,6 +289,51 @@ def _logistic_case(name, n=500, seed=3):
     return b, np.column_stack([np.ones(n), x])
 
 
+class TestStepInBox:
+    """The intercept-only fits' closed-form step against the LAPACK one."""
+
+    _lo, _hi = fitting._INTERCEPT_BOX.T
+
+    @pytest.mark.parametrize(
+        "hess",
+        [
+            [[54.0, 3.0], [3.0, 119.0]],  # positive definite
+            [[2.0, 5.0], [5.0, 1.0]],  # indefinite: the Levenberg shift
+            [[-3.0, 0.0], [0.0, -1e-9]],  # negative definite
+            [[4.0, 2.0], [2.0, 1.0]],  # singular: the minimum-norm step
+            [[1e-6, 0.0], [0.0, 1e6]],  # ill-conditioned
+            [[0.0, 0.0], [0.0, 0.0]],
+        ],
+    )
+    def test_inside_the_box_it_is_the_newton_step(self, hess):
+        hess = np.array(hess)
+        for grad in ([1.0, -2.0], [0.3, 0.0], [-1e-8, 5e-9]):
+            grad = np.array(grad)
+            step, cut = fitting._step_in_box(np.array([0.5, -0.25]), grad, hess, self._lo, self._hi)
+            expected = fitting._newton_step(hess, grad)
+            # the size of H^+ g, for components that round to 0
+            scale = np.abs(np.linalg.pinv(hess)).max() * np.abs(grad).max()
+            np.testing.assert_allclose(step, expected, rtol=1e-9, atol=1e-12 * scale)
+
+    def test_a_coordinate_on_its_bound_is_held_while_the_objective_falls_outward(self):
+        hess = np.array([[4.0, 1.0], [1.0, 2.0]])
+        x = np.array([0.5, _LOG_R_CLIP])
+        # descent raises log r: held, and eta takes its own one-dimensional step
+        step, cut = fitting._step_in_box(x, np.array([2.0, -1.0]), hess, self._lo, self._hi)
+        np.testing.assert_allclose(step, [0.5, 0.0])
+        assert cut == 1.0
+        # descent lowers log r: both move, and no further than the box
+        step, cut = fitting._step_in_box(x, np.array([2.0, 1.0]), hess, self._lo, self._hi)
+        np.testing.assert_allclose(step, fitting._newton_step(hess, np.array([2.0, 1.0])))
+        assert np.all(np.abs(x - cut * step) <= self._hi + 1e-12)
+
+    def test_the_step_is_cut_at_the_box_along_its_direction(self):
+        x = np.array([-29.5, 0.0])
+        step, cut = fitting._step_in_box(x, np.array([4.0, 0.0]), np.eye(2), self._lo, self._hi)
+        np.testing.assert_allclose(step, [4.0, 0.0])
+        assert cut == pytest.approx(0.5 / 4.0)
+
+
 class TestFitLogistic:
     """IRLS, the solver of every logistic model."""
 
@@ -294,8 +347,8 @@ class TestFitLogistic:
         monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: (stretch * lstsq(*a, **k)[0],))
         b, Z = _logistic_case(name)
         logliks, converged = [], False
-        for k in range(fitting._IRLS_MAXITER):
-            monkeypatch.setattr(fitting, "_IRLS_MAXITER", k)
+        for k in range(fitting._NEWTON_MAXITER):
+            monkeypatch.setattr(fitting, "_NEWTON_MAXITER", k)
             gamma, _, converged = fitting._fit_logistic(b, Z)
             logliks.append(-_logistic_negll(gamma, b, Z)[0])
             if converged:
@@ -402,6 +455,82 @@ class TestFitInterceptOnly:
         assert fit.loglik == pytest.approx(hnb_loglik(y, np.ones((len(y), 1)), fit.coefficients), abs=1e-9)
 
 
+def _exact_negll(theta, values, counts, truncated):
+    """The intercept-only objective at theta in 30-digit arithmetic. Near
+    log r = 15 its float value rounds at up to 1e-7 (the log-gammas of y + r
+    and r cancel), so two end points are compared here instead."""
+    with mpmath.workdps(30):
+        eta, log_r = (mpmath.mpf(float(np.clip(t, -c, c))) for t, c in zip(theta, (_ETA_CLIP, _LOG_R_CLIP)))
+        mu, r = mpmath.exp(eta), mpmath.exp(log_r)
+        log_p0 = r * (log_r - mpmath.log(mu + r))
+        total = mpmath.mpf(0)
+        for y, w in zip(values, counts):
+            y = mpmath.mpf(float(y))
+            log_pmf = (
+                mpmath.loggamma(y + r) - mpmath.loggamma(r) - mpmath.loggamma(y + 1)
+                + y * (eta - mpmath.log(mu + r)) + log_p0
+            )
+            total += float(w) * (log_pmf - (mpmath.log(-mpmath.expm1(log_p0)) if truncated else 0))
+        return -total
+
+
+def _assert_reaches_a_tight_reference(y, flavor):
+    """The fit converged, and its objective is within 1e-9 of the lower end
+    of a tight L-BFGS-B (ftol 1e-15, gtol 1e-12) from two starts: the fit's
+    own (the moment estimate of the fitted counts) and (log of their mean,
+    log r = 0)."""
+    fit = fit_intercept_only(y, flavor)
+    truncated = flavor is Flavor.HNB
+    args = _histogram_shape(y[y > 0] if truncated else y, truncated)
+    _, values, counts, _ = args
+    n, mean = counts.sum(), counts @ values / counts.sum()
+    var = counts @ (values - mean) ** 2 / n
+    r = mean * mean / (var - mean) if var > mean else 100.0
+    options = dict(maxiter=10_000, ftol=1e-15, gtol=1e-12)
+    reference = min(
+        (minimize(_nb_negll, x0, args=args, jac=True, method="L-BFGS-B", options=options) for x0 in
+         ([math.log(mean), math.log(np.clip(r, 1e-3, 1e3))], [math.log(mean), 0.0])),
+        key=lambda res: res.fun,
+    )
+    theta = np.array([fit.coefficients.beta[0], fit.coefficients.log_r])
+    assert fit.converged
+    if _nb_negll(theta, *args)[0] > reference.fun + 1e-9:
+        gap = _exact_negll(theta, values, counts, truncated) - _exact_negll(reference.x, values, counts, truncated)
+        assert gap <= 1e-9, (float(gap), fit.coefficients.log_r)
+
+
+class TestNewtonReachesATightReference:
+    """The intercept-only Newton fits end converged and within 1e-9 of a
+    tight L-BFGS-B run on the same objective (see
+    :func:`_assert_reaches_a_tight_reference`)."""
+
+    @pytest.mark.parametrize("flavor", [Flavor.HNB, Flavor.NB])
+    @pytest.mark.parametrize("seed", [1, 2, 7])
+    def test_every_standin_column(self, seed, flavor):
+        # the training block of criterion 9's protocol; seed 1's column 29
+        # (counts up to 1431) ends where the objective rounds at ~1e-11
+        block = rescale_power(make_qmp_standin(seed=seed), 0.851).values[:90]
+        for j in range(block.shape[1]):
+            _assert_reaches_a_tight_reference(block[:, j].astype(int), flavor)
+
+    @pytest.mark.parametrize(
+        "y, flavor",
+        [
+            # the positives are all 1: the maximum sits at the eta clip
+            ([0, 0, 1, 1, 1, 1], Flavor.HNB),
+            # underdispersed positives: the maximum sits at the log r clip
+            ([0, 1, 1, 1, 2], Flavor.HNB),
+            ([0, 1, 1, 1, 2], Flavor.NB),
+            ([0] * 5 + [3] * 20, Flavor.HNB),
+            ([0] * 5 + [3] * 20, Flavor.NB),
+            ([3] * 20, Flavor.HNB),
+            ([3] * 20, Flavor.NB),
+        ],
+    )
+    def test_edge_cases(self, y, flavor):
+        _assert_reaches_a_tight_reference(np.array(y), flavor)
+
+
 def _histogram_shape(y, truncated):
     """The intercept-only fits' arguments of ``_nb_negll``: no design, the
     distinct values of ``y`` and how often each occurs."""
@@ -428,24 +557,33 @@ def test_regression_and_histogram_shapes_agree(truncated):
 
 def test_minimize_calls_its_objective_nfev_times(monkeypatch):
     """The start value and its finiteness check come from the optimizer's
-    own first evaluation, so no objective call falls outside ``nfev``."""
-    runs, calls = [], []
+    own first evaluation, so no objective call falls outside ``nfev``: for
+    an L-BFGS-B run and for the Newton run ``fit_intercept_only`` makes."""
+    y = np.array([0, 0, 1, 2, 2, 3, 5, 8, 13, 0, 4])
+    for method in ("L-BFGS-B", "newton"):
+        runs, calls, starts = [], [], []
 
-    def spy(*args, **kwargs):
-        runs.append(minimize(*args, **kwargs))
-        return runs[-1]
+        def spy(fun, x0, **kwargs):
+            starts.append((np.array(x0), kwargs["args"]))
+            runs.append(minimize(fun, x0, **kwargs))
+            return runs[-1]
 
-    def objective(theta, *args):
-        calls.append(np.array(theta))
-        return _nb_negll(theta, *args)
+        def objective(theta, *args, **kwargs):
+            calls.append(np.array(theta))
+            return _nb_negll(theta, *args, **kwargs)
 
-    monkeypatch.setattr(fitting, "minimize", spy)
-    args = _histogram_shape(np.array([0, 0, 1, 2, 2, 3, 5, 8, 13, 0, 4]), truncated=False)
-    theta0 = np.array([0.5, 0.0])
-    x, negll, _ = _minimize(objective, theta0, args)
-    assert len(runs) == 1 and len(calls) == runs[0].nfev
-    np.testing.assert_array_equal(calls[0], theta0)
-    assert negll == _nb_negll(x, *args)[0]
+        with monkeypatch.context() as patch:
+            patch.setattr(fitting, "minimize", spy)
+            if method == "L-BFGS-B":
+                x, negll, _ = _minimize(objective, np.array([0.5, 0.0]), _histogram_shape(y, truncated=False))
+            else:
+                patch.setattr(fitting, "_nb_negll", objective)
+                fit = fit_intercept_only(y, Flavor.NB)
+                x, negll = np.array([fit.coefficients.beta[0], fit.coefficients.log_r]), -fit.loglik
+        assert len(runs) == 1 and len(calls) == runs[0].nfev > 1
+        theta0, args = starts[0]
+        np.testing.assert_array_equal(calls[0], theta0)
+        assert negll == _nb_negll(x, *args)[0]
 
 
 def _second_difference_information(y, X, Z, fit, step=1e-4):
@@ -516,13 +654,33 @@ class TestAic:
 # analytic scores of the optimizer objectives
 
 
-def _central_difference(fun, theta, args, step):
-    grad = np.empty(len(theta))
+def _central_difference(fun, theta, args, step, part=0):
+    """Central differences of ``fun(theta, *args)[part]`` (the value, or
+    with ``part`` 1 the gradient) in each coordinate of theta, stacked
+    along the last axis."""
+    diffs = []
     for i in range(len(theta)):
         e = np.zeros(len(theta))
         e[i] = step
-        grad[i] = (fun(theta + e, *args)[0] - fun(theta - e, *args)[0]) / (2.0 * step)
-    return grad
+        diffs.append((fun(theta + e, *args)[part] - fun(theta - e, *args)[part]) / (2.0 * step))
+    return np.stack(diffs, axis=-1)
+
+
+def _kernel_hessian_matches_its_score(y, theta, truncated, step, atol):
+    """Each row's second derivatives from ``_nb_logpmf`` in (eta, log r)
+    against central differences of that row's analytic score."""
+
+    def kernel(t):
+        return _nb_logpmf(y, math.exp(t[0]), math.exp(t[1]), score=True, truncated=truncated)
+
+    h_eta, h_cross, h_log_r = _nb_logpmf(
+        y, math.exp(theta[0]), math.exp(theta[1]), truncated=truncated, hessian=True
+    )[3:]
+    d_eta = _central_difference(kernel, theta, (), step, part=1)
+    d_log_r = _central_difference(kernel, theta, (), step, part=2)
+    pairs = ((h_eta, d_eta[:, 0]), (h_cross, d_eta[:, 1]), (h_cross, d_log_r[:, 0]), (h_log_r, d_log_r[:, 1]))
+    for analytic, fd in pairs:
+        np.testing.assert_allclose(analytic, fd, rtol=1e-5, atol=atol)
 
 
 def _nb_term_size(y, eta, log_r):
@@ -546,7 +704,12 @@ _near_or_inside = lambda clip: st.one_of(  # noqa: E731
 
 
 @given(
-    objective=st.sampled_from(["logistic", "zinb", "regression", "histogram", "histogram_truncated"]),
+    objective=st.sampled_from(
+        [
+            "logistic", "zinb", "regression", "histogram", "histogram_truncated",
+            "histogram_hessian", "histogram_truncated_hessian",
+        ]
+    ),
     column=st.sampled_from(["mixed", "all_zero", "no_zero"]),
     n=st.integers(3, 25),
     seed=st.integers(0, 2**31),
@@ -583,7 +746,7 @@ def test_objective_gradient_matches_central_difference(objective, column, n, see
         pos = y > 0
         fun, theta, args = _nb_negll, np.append(beta, log_r), (X[pos], y[pos], 1.0, True)
         size = 2.0 * _nb_term_size(y[pos], X[pos] @ beta, log_r)
-    elif objective == "histogram":
+    elif objective in ("histogram", "histogram_hessian"):
         fun, theta, args = _nb_negll, np.array([eta_mu, log_r]), _histogram_shape(y, truncated=False)
         size = _nb_term_size(y, np.full(n, eta_mu), log_r)
     else:
@@ -597,6 +760,13 @@ def test_objective_gradient_matches_central_difference(objective, column, n, see
         assert grad[-1] == 0.0
     fd = _central_difference(fun, theta, args, step)
     np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-6 + 1e-13 * size / step)
+    if objective.endswith("hessian"):
+        # the score rounds at about the size of the value's terms too
+        h_value, h_grad, hess = fun(theta, *args, hessian=True)
+        assert h_value == value and np.array_equal(h_grad, grad)
+        fd = _central_difference(fun, theta, args, step, part=1)
+        np.testing.assert_allclose(hess, fd, rtol=1e-5, atol=1e-6 + 1e-13 * size / step)
+        _kernel_hessian_matches_its_score(args[1], theta, args[3], step, atol=1e-6 + 1e-13 * size / step)
 
 
 _extreme = st.one_of(st.sampled_from([-1e6, 0.0, 1e6]), st.floats(-1e6, 1e6))
@@ -610,8 +780,9 @@ _extreme = st.one_of(st.sampled_from([-1e6, 0.0, 1e6]), st.floats(-1e6, 1e6))
 )
 @settings(max_examples=300, deadline=None)
 def test_objectives_stay_finite_at_extreme_parameters(objective, theta, y, seed):
-    """The clips keep every objective and its gradient finite on finite
-    data, wherever the optimizer steps; no fit needs a second start."""
+    """The clips keep every objective, its gradient and the intercept-only
+    Hessian finite on finite data, wherever the optimizer steps; no fit
+    needs a second start."""
     y = np.asarray(y, dtype=float)
     X = np.column_stack([np.ones(len(y)), np.random.default_rng(seed).normal(size=len(y))])
     theta = np.asarray(theta)
@@ -624,4 +795,7 @@ def test_objectives_stay_finite_at_extreme_parameters(objective, theta, y, seed)
     }[objective]
     with np.errstate(over="raise", divide="raise", invalid="raise"):
         value, grad = fun(t, *args)
+        # the intercept-only shape also gives the Newton fits their Hessian
+        hess = fun(t, *args, hessian=True)[2] if objective.startswith("histogram") else np.zeros((len(t), len(t)))
     assert np.isfinite(value) and np.all(np.isfinite(grad)) and grad.shape == t.shape
+    assert np.all(np.isfinite(hess)) and hess.shape == (len(t), len(t))
