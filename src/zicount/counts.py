@@ -94,7 +94,7 @@ def _nb_positive(log_p0):
     return -np.expm1(log_p0)
 
 
-def _nb_logpmf(y, mu, r, score=False, truncated=False, hessian=False, log_y_factorial=None):
+def _nb_logpmf(y, mu, r, score=False, truncated=False, hessian=False, log_y_factorial=None, distinct=None):
     """log NB(y; mu, r), vectorized over y, mu and r; with ``truncated`` the
     zero-truncated NB, log NB(y) - log(1 - NB(0)).
 
@@ -104,6 +104,10 @@ def _nb_logpmf(y, mu, r, score=False, truncated=False, hessian=False, log_y_fact
     h_eta_log_r, h_log_r_log_r)``. Every fitting objective and likelihood
     is built from this one kernel. ``log_y_factorial`` is gammaln(y + 1)
     when the caller holds it: a fit's counts do not change between calls.
+    For a scalar ``r``, ``distinct`` is (values, index) with y =
+    values[index]; the special functions of y + r (log-gamma, digamma and
+    the trigamma, dearer than the rest of a call) are then evaluated once
+    per distinct count.
     """
     y = np.asarray(y, dtype=float)
     log_p0 = _log_nb_zero(mu, r)
@@ -115,9 +119,13 @@ def _nb_logpmf(y, mu, r, score=False, truncated=False, hessian=False, log_y_fact
     if not truncated:
         count_term = np.where(y == 0, 0.0, count_term)
     y_r = y + r
+
+    def at_y_r(f):
+        return f(y_r) if distinct is None else f(distinct[0] + r)[distinct[1]]
+
     if log_y_factorial is None:
         log_y_factorial = gammaln(y + 1)
-    logpmf = gammaln(y_r) - gammaln(r) - log_y_factorial + count_term + log_p0
+    logpmf = at_y_r(gammaln) - gammaln(r) - log_y_factorial + count_term + log_p0
     if truncated:
         log_pos = np.log(_nb_positive(log_p0))
         logpmf = logpmf - log_pos
@@ -125,7 +133,7 @@ def _nb_logpmf(y, mu, r, score=False, truncated=False, hessian=False, log_y_fact
         return logpmf
     d_eta = r * (y - mu) / mu_r
     # r*[psi(y+r) - psi(r) - (y - mu)/(mu + r) - log1p(mu/r)]
-    r_psi = r * (digamma(y_r) - digamma(r))
+    r_psi = r * (at_y_r(digamma) - digamma(r))
     d_log_r = r_psi - d_eta + log_p0
     if not (hessian or truncated):
         return logpmf, d_eta, d_log_r
@@ -139,7 +147,7 @@ def _nb_logpmf(y, mu, r, score=False, truncated=False, hessian=False, log_y_fact
         h_eta_eta = d0_eta / mu_r * y_r
         h_eta_log_r = mu / mu_r * d_eta
         # zeta(2, x) is the trigamma function psi'(x)
-        h_log_r_log_r = r_psi - h_eta_log_r + r * r * zeta(2, y_r)
+        h_log_r_log_r = r_psi - h_eta_log_r + r * r * at_y_r(lambda v: zeta(2, v))
         c_eta_eta, c_eta_log_r, c_log_r_log_r = 0.0, 0.0, d0_log_r - r * r * zeta(2, r)
     if truncated:
         # d[-log(1 - NB(0))] = NB(0)/(1 - NB(0)) * d log NB(0)

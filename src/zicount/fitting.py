@@ -1,12 +1,14 @@
 """Maximum-likelihood fitting of ZINB and hurdle-NB regressions.
 
 Both regressions use a log link for the mean and a logit link for the zero
-weight. ZINB is maximized jointly over (beta, gamma, log r) by L-BFGS-B. The
-hurdle likelihood factorizes, so it is fitted as an independent logistic part
-(zero indicator) and a zero-truncated NB part (positive counts), the latter
-by L-BFGS-B. One damped Newton loop, :func:`_newton`, fits every logistic
-model (the hurdle's zero part and the start of the ZINB zero part; there it
-is IRLS) and the intercept-only HNB and NB fits.
+weight. ZINB is maximized jointly over (beta, gamma, log r). The hurdle
+likelihood factorizes, so it is fitted as an independent logistic part (zero
+indicator) and a zero-truncated NB part (positive counts). One damped Newton
+loop on analytic Hessians, :func:`_newton`, fits every model: the ZINB
+regression, the hurdle's zero-truncated NB part, every logistic model (the
+hurdle's zero part and the start of the ZINB zero part; there it is IRLS)
+and the intercept-only HNB and NB fits. The same Hessians give the standard
+errors.
 """
 
 import math
@@ -40,12 +42,10 @@ _ETA_CLIP = 30.0
 _LOG_R_CLIP = 15.0
 # the intercept-only fits' Newton runs stay in this box of (eta, log r)
 _INTERCEPT_BOX = np.array([(-_ETA_CLIP, _ETA_CLIP), (-_LOG_R_CLIP, _LOG_R_CLIP)])
-# every L-BFGS-B run (on analytic gradients): its budget and tolerances
-_LBFGSB = dict(method="L-BFGS-B", jac=True, options=dict(maxiter=500, ftol=1e-9, gtol=1e-5))
 # Newton (see _newton) stops once g'H^+g, the gradient of the clipped
 # objective measured in its inverse Hessian, is at most _NEWTON_TOL per
-# observation, or at most the objective's rounding where that is larger.
-# Half of it is the decrease a step still promises, so a one-sided or
+# observation, or once half of it, the decrease a step still promises, is
+# at most the objective's rounding where that is larger. So a one-sided or
 # separated zero indicator runs on to the eta clip, while an interior fit
 # stops before that decrease sinks below the rounding (~1e-16 n for a
 # logistic objective).
@@ -53,8 +53,6 @@ _NEWTON_TOL = 1e-14
 _NEWTON_MAXITER = 100
 _NEWTON_HALVINGS = 30
 _EPS = np.finfo(float).eps
-# central-difference step of the score in the observed information
-_SE_STEP = 1e-4
 
 
 @dataclass(frozen=True)
@@ -192,43 +190,98 @@ def _logistic_negll(gamma, b, Z, hessian=False):
     return value, grad, (Z.T * (pi * (1.0 - pi) * inside)) @ Z
 
 
-def _zinb_negll(theta, y, X, Z):
+def _zinb_negll(theta, y, X, Z, log_y_factorial=None, hessian=False, distinct=None):
+    """ZINB objective in theta = (beta, gamma, log r); ``hessian`` adds the
+    Hessian. A fit passes gammaln(y + 1) as ``log_y_factorial`` and the
+    distinct counts as ``distinct`` (see :func:`counts._nb_logpmf`) once."""
     q1 = X.shape[1]
     eta_mu, in_mu = _clipped(X @ theta[:q1], _ETA_CLIP)
     eta_pi, in_pi = _clipped(Z @ theta[q1:-1], _ETA_CLIP)
     log_r, in_r = _clip_log_r(theta[-1]), abs(theta[-1]) <= _LOG_R_CLIP
-    log_nb, d_eta, d_log_r = _nb_logpmf(y, np.exp(eta_mu), np.exp(log_r), score=True)
+    rows = _nb_logpmf(y, np.exp(eta_mu), np.exp(log_r), True, False, hessian, log_y_factorial, distinct)
+    log_nb, d_eta, d_log_r = rows[:3]
 
     zero = y == 0
     # a zero is structural or an NB zero: log(e^eta_pi + NB(0)) - log(1 + e^eta_pi)
     mix = np.logaddexp(eta_pi, log_nb)
     ll = np.where(zero, mix, log_nb).sum() - np.logaddexp(0.0, eta_pi).sum()
-    # share of each observation's likelihood that comes from the NB component
+    # the shares of each observation's likelihood that come from the NB
+    # component (w) and from the structural zero (1 - w)
     nb_share = np.where(zero, np.exp(log_nb - mix), 1.0)
+    zero_share = np.where(zero, np.exp(eta_pi - mix), 0.0)
+    pi = expit(eta_pi)
     g_mu = nb_share * d_eta * in_mu
-    g_pi = (np.where(zero, np.exp(eta_pi - mix), 0.0) - expit(eta_pi)) * in_pi
+    g_pi = (zero_share - pi) * in_pi
     g_r = (nb_share * d_log_r).sum() * in_r
-    return -float(ll), -np.concatenate([X.T @ g_mu, Z.T @ g_pi, [g_r]])
+    value, grad = -float(ll), -np.concatenate([X.T @ g_mu, Z.T @ g_pi, [g_r]])
+    if not hessian:
+        return value, grad
+    # with a = eta_pi and b = log NB(0), a zero row's log(e^a + e^b) has the
+    # second derivatives w(1 - w) in a and in b and -w(1 - w) across; b's
+    # own derivatives in (eta_mu, log r) are the kernel's
+    h_eta, h_cross, h_log_r = rows[3:]
+    spread = nb_share * zero_share
+    s_eta, s_log_r = spread * d_eta, spread * d_log_r
+    second = (
+        (
+            (nb_share * h_eta + s_eta * d_eta) * in_mu,
+            -s_eta * (in_mu * in_pi),
+            (nb_share * h_cross + s_eta * d_log_r) * (in_mu * in_r),
+        ),
+        (None, (spread - pi * (1.0 - pi)) * in_pi, -s_log_r * (in_pi * in_r)),
+        (None, None, (nb_share * h_log_r + s_log_r * d_log_r) * in_r),
+    )
+    return value, grad, -_chain_hessian((X, Z), second)
 
 
-def _nb_negll(theta, X, y, w, truncated, log_y_factorial=None, hessian=False):
+def _chain_hessian(designs, second):
+    """The Hessian in theta = (theta_1, ..., theta_k, log r) of a sum over
+    rows whose k linear predictors are eta_j = D_j theta_j and which share
+    log r, from each row's second derivatives ``second[j][l]`` (j <= l) in
+    (eta_1, ..., eta_k, log r): the blocks D_j' diag(h_jl) D_l, where log
+    r's design is a column of ones. A clip's derivative is 0 or 1, so each
+    h_jl carries the clips of its two coordinates once."""
+    k = len(designs)
+    edges = [0]
+    for design in designs:
+        edges.append(edges[-1] + design.shape[1])
+    hess = np.empty((edges[-1] + 1, edges[-1] + 1))
+    for j in range(k):
+        rows, cols = slice(edges[j], edges[j + 1]), designs[j].T
+        for l in range(j, k):
+            block = (cols * second[j][l]) @ designs[l]
+            hess[rows, edges[l] : edges[l + 1]] = block
+            hess[edges[l] : edges[l + 1], rows] = block.T
+        hess[rows, -1] = hess[-1, rows] = cols @ second[j][k]
+    hess[-1, -1] = second[k][k].sum()
+    return hess
+
+
+def _nb_negll(theta, X, y, w, truncated, log_y_factorial=None, hessian=False, distinct=None):
     """NB objective in theta = (beta, log r). Row i has the count y_i, the
     weight w_i (the number of observations it stands for) and the mean
     exp(x_i'beta); ``X`` None is the intercept-only design, one mean
     exp(beta_0) for every row. With ``truncated`` each row is a
     zero-truncated NB. The hurdle regression passes one row per positive
     count and w = 1.0; the intercept-only fits pass the distinct counts and
-    how often each occurs, and ``hessian`` (intercept-only design only)
-    adds the Hessian. A fit passes gammaln(y + 1) once as
-    ``log_y_factorial``."""
+    how often each occurs. ``hessian`` adds the Hessian. A fit passes
+    gammaln(y + 1) as ``log_y_factorial`` and, for the regression shape,
+    the distinct counts as ``distinct`` (see :func:`counts._nb_logpmf`)
+    once."""
     log_r, in_r = _clip_log_r(theta[-1]), abs(theta[-1]) <= _LOG_R_CLIP
     if X is not None:
         eta, in_eta = _clipped(X @ theta[:-1], _ETA_CLIP)
         # the clips keep 1 - NB(0) >= ~e^-30, so a truncated log pmf is finite
-        log_nb, d_eta, d_log_r = _nb_logpmf(y, np.exp(eta), np.exp(log_r), True, truncated, False, log_y_factorial)
+        rows = _nb_logpmf(y, np.exp(eta), np.exp(log_r), True, truncated, hessian, log_y_factorial, distinct)
+        log_nb, d_eta, d_log_r = rows[:3]
         g_eta = w * d_eta * in_eta
-        grad = np.concatenate([X.T @ g_eta, [(w * d_log_r).sum() * in_r]])
-        return -float((w * log_nb).sum()), -grad
+        value = -float((w * log_nb).sum())
+        grad = -np.concatenate([X.T @ g_eta, [(w * d_log_r).sum() * in_r]])
+        if not hessian:
+            return value, grad
+        h_eta, h_cross, h_log_r = (w * row for row in rows[3:])
+        second = ((h_eta * in_eta, h_cross * (in_eta * in_r)), (None, h_log_r * in_r))
+        return value, grad, -_chain_hessian((X,), second)
     # one mean for every row, kept a scalar: each sum over rows is a dot
     # product with the weights, and a column of ones would make a call about
     # a fifth dearer
@@ -245,10 +298,12 @@ def _nb_negll(theta, X, y, w, truncated, log_y_factorial=None, hessian=False):
     return value, grad, np.array([[-h_eta * in_eta, h_cross], [h_cross, -h_log_r * in_r]])
 
 
-def _minimize(fun, x0, args, solver=_LBFGSB):
-    """One ``scipy.optimize.minimize`` run: by default L-BFGS-B on an
-    objective returning (value, gradient); ``solver`` holds the keywords of
-    another method, such as :func:`_newton` on (value, gradient, Hessian).
+def _minimize(fun, x0, args, bounds=None, **options):
+    """One ``scipy.optimize.minimize`` run of :func:`_newton`, as a custom
+    ``method=``, on an objective returning (value, gradient, Hessian);
+    ``bounds`` and ``options`` (``n_obs``, ``size``) go to :func:`_newton`.
+    Going through ``minimize`` (public API; about 20 us a call) keeps one
+    hookable call per fit, with its ``nfev``, ``nit`` and ``callback``.
 
     Returns (x, negll, converged). Raises InitializationError when the
     objective is not finite at ``x0`` or at the end (the clips keep it
@@ -266,7 +321,7 @@ def _minimize(fun, x0, args, solver=_LBFGSB):
             started = True
         return out
 
-    res = minimize(checked, x0, args=args, **solver)
+    res = minimize(checked, x0, args=args, method=_newton, bounds=bounds, options=options)
     if not np.isfinite(res.fun):
         raise InitializationError("objective not finite at the optimizer's end point")
     return res.x, float(res.fun), bool(res.success)
@@ -280,13 +335,15 @@ def _newton(fun, x0, args=(), bounds=None, n_obs=1, size=None, callback=None, **
     method.
 
     Each step is :func:`_newton_step`, or with ``bounds`` (one (lo, hi)
-    pair for each of two coordinates) :func:`_step_in_box`'s, and is
+    pair per coordinate) :func:`_step_in_box`'s, and is
     halved until the objective does not rise. The run stops once the
     decrement g's is at most ``_NEWTON_TOL * n_obs`` for an objective over
-    ``n_obs`` observations, or at most eps * ``size(x)``, the rounding of
-    an objective whose terms' magnitudes sum to ``size(x)``: below that no
-    step can show a decrease. A step cut at the box is tried whatever its
-    decrement, since it ends a walk along a ridge towards a bound.
+    ``n_obs`` observations, or once half of it, the decrease the step s
+    promises, is at most eps * ``size(x, s)``, the rounding of the change
+    along s of an objective whose changing terms' magnitudes sum to
+    ``size(x, s)``: below that no step can show a decrease. A step cut at
+    the box is tried whatever its decrement, since it ends a walk along a
+    ridge towards a bound.
 
     Returns an OptimizeResult with ``nfev`` and ``nit``; ``callback``
     receives each accepted iterate as ``intermediate_result``. ``success``
@@ -305,7 +362,7 @@ def _newton(fun, x0, args=(), bounds=None, n_obs=1, size=None, callback=None, **
         step, cut = (_newton_step(hess, grad), 1.0) if bounds is None else _step_in_box(x, grad, hess, lo, hi)
         decrement = grad @ step
         tol = _NEWTON_TOL * n_obs
-        rounding = tol if size is None else max(tol, _EPS * size(x))
+        rounding = tol if size is None else max(tol, 2.0 * _EPS * size(x, step))
         if decrement <= (rounding if cut == 1.0 else tol):
             success = True
             break
@@ -334,30 +391,25 @@ def _newton(fun, x0, args=(), bounds=None, n_obs=1, size=None, callback=None, **
 def _newton_step(hess, grad):
     """The minimum-norm solution s of H s = g, after a Levenberg shift
     H + 2|lambda_min| I where H has a negative eigenvalue beyond the solve's
-    rounding cutoff (eps * dimension * largest |eigenvalue|)."""
-    lam = np.linalg.eigvalsh(hess)
-    if lam[0] < -len(lam) * _EPS * max(-lam[0], lam[-1]):
-        hess = hess - 2.0 * lam[0] * np.eye(len(lam))
-    return np.linalg.lstsq(hess, grad, rcond=None)[0]
-
-
-def _step_in_box(x, grad, hess, lo, hi):
-    """The Newton step of a two-parameter objective (the intercept-only
-    fits' eta and log r) inside the box [lo, hi], and the fraction of it
-    that stays in the box. It is :func:`_newton_step` in closed form, since
+    rounding cutoff (eps * dimension * largest |eigenvalue|): from one
+    eigendecomposition, or for two coordinates in closed form, since
     numpy's LAPACK wrappers cost more than the rest of such an iteration.
-
-    A coordinate on its bound whose descent leads out of the box is held
-    (its row, column and gradient are zeroed) and the other takes the
-    minimum-norm step; no coordinate steps out of the box from its bound
-    (that component would only slow the descent).
     """
-    x, g, lo, hi = x.tolist(), grad.tolist(), lo.tolist(), hi.tolist()
+    if len(grad) == 2:
+        return _step_2x2(hess, grad)
+    lam, vec = np.linalg.eigh(hess)
+    cutoff = len(lam) * _EPS
+    if lam[0] < -cutoff * max(-lam[0], lam[-1]):
+        lam = lam - 2.0 * lam[0]
+    magnitude = np.abs(lam)
+    kept = magnitude > cutoff * magnitude.max()
+    return vec @ np.where(kept, (vec.T @ grad) / np.where(kept, lam, 1.0), 0.0)
+
+
+def _step_2x2(hess, grad):
+    """:func:`_newton_step` for two coordinates."""
     (a, b), (_, c) = hess.tolist()
-    if (x[0] <= lo[0] and g[0] > 0) or (x[0] >= hi[0] and g[0] < 0):
-        a = b = g[0] = 0.0
-    if (x[1] <= lo[1] and g[1] > 0) or (x[1] >= hi[1] and g[1] < 0):
-        c = b = g[1] = 0.0
+    g = grad.tolist()
     # the eigenvalues m -/+ d of [[a, b], [b, c]], the one of larger
     # magnitude first and the other from the determinant; (cos, sin) spans
     # the eigenvector of the larger one
@@ -371,13 +423,33 @@ def _step_in_box(x, grad, hess, lo, hi):
     cos, sin = math.cos(angle), math.sin(angle)
     along = (cos * g[0] + sin * g[1]) / large if abs(large) > cutoff else 0.0
     across = (cos * g[1] - sin * g[0]) / small if abs(small) > cutoff else 0.0
-    step = [cos * along - sin * across, sin * along + cos * across]
+    return np.array([cos * along - sin * across, sin * along + cos * across])
+
+
+def _step_in_box(x, grad, hess, lo, hi):
+    """The Newton step inside the box [lo, hi] (a bound may be infinite),
+    and the fraction of it that stays in the box.
+
+    A coordinate on its bound whose descent leads out of the box is held
+    (its row, column and gradient are zeroed) and the others take the
+    minimum-norm step of :func:`_newton_step`; no coordinate steps out of
+    the box from its bound (that component would only slow the descent).
+    """
+    x, lo, hi = x.tolist(), lo.tolist(), hi.tolist()
+    g = grad.tolist()
+    held = [i for i in range(len(x)) if (x[i] <= lo[i] and g[i] > 0) or (x[i] >= hi[i] and g[i] < 0)]
+    if held:
+        hess, grad = hess.copy(), grad.copy()
+        hess[held], hess[:, held], grad[held] = 0.0, 0.0, 0.0
+    step = _newton_step(hess, grad).tolist()
+    for i in held:
+        step[i] = 0.0
     cut = 1.0
-    for i in (0, 1):
-        if (x[i] <= lo[i] and step[i] > 0) or (x[i] >= hi[i] and step[i] < 0):
+    for i, (xi, si) in enumerate(zip(x, step)):
+        if (xi <= lo[i] and si > 0) or (xi >= hi[i] and si < 0):
             step[i] = 0.0
-        elif x[i] - step[i] < lo[i] or x[i] - step[i] > hi[i]:
-            cut = min(cut, (x[i] - (lo[i] if step[i] > 0 else hi[i])) / step[i])
+        elif xi - si < lo[i] or xi - si > hi[i]:
+            cut = min(cut, (xi - (lo[i] if si > 0 else hi[i])) / si)
     return np.array(step), cut
 
 
@@ -410,6 +482,38 @@ def _result(coef: RegressionCoefficients, loglik, flavor: Flavor, ok, n: int) ->
     return RegressionFit(coef, float(loglik), k, flavor, bool(ok and np.isfinite(loglik)), n)
 
 
+def _rounding_size(n, log_y_factorial_sum):
+    """``size`` for :func:`_newton` on an NB objective over ``n``
+    observations whose log y! sum to ``log_y_factorial_sum``. Its largest
+    terms are the log-gammas that cancel in each log pmf, log y! for large
+    counts and log Gamma(r) as log r -> 15, so eps times this sum is about
+    the objective's rounding. A step that holds log r (the last
+    coordinate) leaves the bits of log Gamma(y + r) - log Gamma(r) as they
+    are, so along it that term rounds to nothing; this lets a ridge walk in
+    the zero model with r at its clip run on to the eta clip."""
+    magnitude = n + log_y_factorial_sum
+
+    def size(theta, step):
+        if step[-1] == 0.0:
+            return magnitude
+        return magnitude + n * abs(math.lgamma(math.exp(_clip_log_r(theta[-1]))))
+
+    return size
+
+
+def _counts_constants(y, dim):
+    """A regression fit's constants of the counts ``y``: the objective's
+    trailing arguments (gammaln(y + 1), the Hessian flag and the distinct
+    counts) and :func:`_newton`'s options (log r kept inside its clip, the
+    rounding tolerance) for ``dim`` parameters. The objective's designs
+    are passed in Fortran order: its Hessian reads their columns."""
+    log_y_factorial = gammaln(y + 1)
+    bounds = np.full((dim, 2), (-np.inf, np.inf))
+    bounds[-1] = (-_LOG_R_CLIP, _LOG_R_CLIP)
+    options = dict(bounds=bounds, n_obs=len(y), size=_rounding_size(len(y), log_y_factorial.sum()))
+    return (log_y_factorial, True, np.unique(y, return_inverse=True)), options
+
+
 def fit_regression(y, X, Z=None, flavor: Flavor = Flavor.ZINB) -> RegressionFit:
     """Maximum-likelihood fit of a ZINB or hurdle-NB regression.
 
@@ -439,7 +543,9 @@ def fit_regression(y, X, Z=None, flavor: Flavor = Flavor.ZINB) -> RegressionFit:
             raise DegenerateDataError("ZINB needs at least one zero and one positive count")
         g0 = _fit_logistic((y == 0).astype(float), Z)[0]
         theta0 = np.concatenate([_init_beta(y, X), g0, [0.0]])
-        x, _, ok = _minimize(_zinb_negll, theta0, (y.astype(float), X, Z))
+        yf = y.astype(float)
+        args, options = _counts_constants(yf, q1 + q2 + 1)
+        x, _, ok = _minimize(_zinb_negll, theta0, (yf, np.asfortranarray(X), np.asfortranarray(Z), *args), **options)
         coef = RegressionCoefficients(beta=x[:q1], gamma=x[q1 : q1 + q2], log_r=_clip_log_r(x[-1]))
         # report the unclipped likelihood at the optimum
         return _result(coef, zinb_loglik(y, X, Z, coef), flavor, ok, n)
@@ -453,7 +559,8 @@ def fit_regression(y, X, Z=None, flavor: Flavor = Flavor.ZINB) -> RegressionFit:
         # the zero-truncated NB part on the positive counts, same design
         theta0 = np.append(_init_beta(y, X), 0.0)
         yp = y[pos].astype(float)
-        x, _, ok = _minimize(_nb_negll, theta0, (X[pos], yp, 1.0, True, gammaln(yp + 1)))
+        args, options = _counts_constants(yp, q1 + 1)
+        x, _, ok = _minimize(_nb_negll, theta0, (np.asfortranarray(X[pos]), yp, 1.0, True, *args), **options)
         coef = RegressionCoefficients(beta=x[:-1], gamma=g, log_r=_clip_log_r(x[-1]))
         return _result(coef, hnb_loglik(y, X, coef), flavor, ok_g and ok, n)
     raise ValueError("fit_regression supports ZINB and HNB; use fit_intercept_only for NB")
@@ -491,20 +598,9 @@ def fit_intercept_only(y, flavor: Flavor) -> RegressionFit:
     r = m * m / (var - m) if var > m else 100.0
     theta0 = np.array([math.log(m), math.log(min(max(r, 1e-3), 1e3))])
     log_y_factorial = gammaln(values + 1)
-    # eps times this is about the objective's rounding: its largest terms
-    # are the log-gammas that cancel in each log pmf, log y! for large
-    # counts and log Gamma(r) as log r -> 15
-    magnitude = n_fit + counts @ log_y_factorial
-
-    def size(theta):
-        return magnitude + n_fit * abs(math.lgamma(math.exp(_clip_log_r(theta[-1]))))
-
-    # _newton runs as a custom method= of scipy.optimize.minimize (public
-    # API; about 20 us a call), so nfev, nit, the callback and the one
-    # minimize call per fit stay as they are for L-BFGS-B
-    newton = dict(method=_newton, bounds=_INTERCEPT_BOX, options=dict(n_obs=n_fit, size=size))
+    size = _rounding_size(n_fit, counts @ log_y_factorial)
     args = (None, values, counts, truncated, log_y_factorial, True)
-    x, negll, ok = _minimize(_nb_negll, theta0, args, newton)
+    x, negll, ok = _minimize(_nb_negll, theta0, args, bounds=_INTERCEPT_BOX, n_obs=n_fit, size=size)
     if flavor is Flavor.NB:
         coef = RegressionCoefficients(beta=x[:1], gamma=np.empty(0), log_r=_clip_log_r(x[-1]))
         return _result(coef, -negll, flavor, ok, n)
@@ -515,41 +611,33 @@ def fit_intercept_only(y, flavor: Flavor) -> RegressionFit:
     return _result(coef, n_zero * np.log(pi_hat) + n_fit * np.log1p(-pi_hat) - negll, flavor, ok, n)
 
 
-def _score(theta, y, X, Z, flavor):
-    """Score of the log-likelihood in (beta, gamma, log_r)."""
-    if flavor is Flavor.ZINB:
-        return -_zinb_negll(theta, y.astype(float), X, Z)[1]
-    # the hurdle likelihood factorizes: the logistic part scores gamma, the
-    # zero-truncated NB part scores (beta, log r)
-    q1 = X.shape[1]
-    pos = y > 0
-    d_b = -_nb_negll(np.append(theta[:q1], theta[-1]), X[pos], y[pos].astype(float), 1.0, True)[1]
-    d_g = -_logistic_negll(theta[q1:-1], (y == 0).astype(float), X)[1]
-    return np.concatenate([d_b[:-1], d_g, d_b[-1:]])
-
-
 def _observed_information(y, X, Z, fit: RegressionFit) -> np.ndarray:
-    """Minus the Hessian of the log-likelihood, by central differences of the
-    analytic score (2m score calls), symmetrized."""
+    """Minus the Hessian of the log-likelihood in (beta, gamma, log_r): the
+    optimizer objectives' analytic Hessian at the fit."""
     coef = fit.coefficients
-    theta = np.concatenate([coef.beta, coef.gamma, [coef.log_r]])
-    m = len(theta)
-    hess = np.empty((m, m))
-    for i in range(m):
-        e = np.zeros(m)
-        e[i] = _SE_STEP
-        hess[:, i] = (_score(theta + e, y, X, Z, fit.flavor) - _score(theta - e, y, X, Z, fit.flavor)) / (2.0 * _SE_STEP)
-    return -0.5 * (hess + hess.T)
+    if fit.flavor is Flavor.ZINB:
+        theta = np.concatenate([coef.beta, coef.gamma, [coef.log_r]])
+        return _zinb_negll(theta, y.astype(float), X, Z, hessian=True)[2]
+    # the hurdle likelihood factorizes: the logistic part informs gamma, the
+    # zero-truncated NB part (beta, log r)
+    q1, q2 = X.shape[1], coef.gamma.size
+    pos = y > 0
+    nb = np.r_[0:q1, q1 + q2]
+    info = np.zeros((q1 + q2 + 1, q1 + q2 + 1))
+    theta = np.append(coef.beta, coef.log_r)
+    info[np.ix_(nb, nb)] = _nb_negll(theta, X[pos], y[pos].astype(float), 1.0, True, hessian=True)[2]
+    info[q1 : q1 + q2, q1 : q1 + q2] = _logistic_negll(coef.gamma, (y == 0).astype(float), X, hessian=True)[2]
+    return info
 
 
 def standard_errors(y, X, Z, fit: RegressionFit) -> np.ndarray:
     """Asymptotic standard errors of (beta, gamma, log_r).
 
-    Observed information at the optimum, from central differences of the
-    analytic score, inverted. The score is that of the clipped optimizer
-    objectives, so the errors mean little for a fit whose dispersion sits
-    at its clip (``|log r| = 15``). Intended for coefficient-recovery
-    checks, not full inference.
+    Observed information at the optimum, from the analytic Hessian,
+    inverted. The Hessian is that of the clipped optimizer objectives, so
+    the errors mean little for a fit whose dispersion sits at its clip
+    (``|log r| = 15``). Intended for coefficient-recovery checks, not full
+    inference.
     """
     y = np.asarray(y)
     X, Z = _design(X), _design(Z)

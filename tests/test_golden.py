@@ -74,8 +74,8 @@ GOLDEN_CONFIGS = {
 }
 
 GOLDEN_DIGESTS = {
-    "setting_one": "0da55c97c811d0e65114374fc440ebff5c2d337006a427bd30dcabea7189f3f7",
-    "setting_one_deflation": "c8b414a1a1a21963cb3f6d6e2fd3b4352afc4db486c3ed8517308e661d00c725",
+    "setting_one": "46f6c628140d5ff9ae766908df36a988dfab4311c5c51547897e4913e17fc2e5",
+    "setting_one_deflation": "66c17a2288fcdfed1a44b687d66c17b57b60cd512c02fe1566192d5bd5ab3ff4",
     "setting_two": "7a2c31de53ee23b2ced6fe0933b0243517a369a5b5d09688ccd5a96edb1119c9",
     "setting_three": "10c7131b123196cda13a0a7e1d70aa35b5a79c3d2e9423d997d5be2ff963af51",
     "real_data": "200cc6089e50c2e795ba5e9c0b693ff7d7f88687cb453d9d92465978880ad4a6",
