@@ -25,7 +25,6 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.special import ndtr, ndtri
-from scipy.stats import qmc
 
 from . import bridge_table
 from .counts import _zero_share
@@ -44,6 +43,7 @@ __all__ = [
     "bridge_tt",
     "invert_bridge",
     "fit_tlnpn",
+    "sample_mvn",
     "sample_tlnpn",
     "nearest_correlation",
 ]
@@ -173,7 +173,10 @@ class _TTBlock(NamedTuple):
 @functools.lru_cache(maxsize=4)
 def _sobol_points(n_points: int) -> np.ndarray:
     """The shared scrambled Sobol stream of ``n_points`` points, built once
-    per size and returned read-only."""
+    per size and returned read-only. ``scipy.stats`` is imported here, so
+    only a run that evaluates the bridge kernel pays for it."""
+    from scipy.stats import qmc
+
     w = qmc.Sobol(3, scramble=True, seed=_QMC_SEED).random(n_points)
     w.flags.writeable = False
     return w
@@ -434,7 +437,8 @@ def _bridge_roots(tau, dj, dk, n_points: int) -> np.ndarray:
     table = seeded & (tau != 0.0) & (np.abs(dj) <= edge) & (np.abs(dk) <= edge) & (sigma0 <= bridge_table.ROOT_SIGMA_MAX)
     out = np.where(table, sigma0, 0.0)
     exact = np.flatnonzero(~table & (tau != 0.0))
-    out[exact] = _invert_bridge_batch(tau[exact], dj[exact], dk[exact], n_points)
+    if exact.size:
+        out[exact] = _invert_bridge_batch(tau[exact], dj[exact], dk[exact], n_points)
     return out
 
 
@@ -445,17 +449,20 @@ def _empirical_quantile(sorted_values: np.ndarray, u: np.ndarray) -> np.ndarray:
     return sorted_values[np.clip(idx, 0, m - 1)]
 
 
+def sample_mvn(n: int, sigma: np.ndarray, seed: int) -> np.ndarray:
+    """n i.i.d. rows from N(0, sigma) via the lower-triangular factor."""
+    chol = np.linalg.cholesky(np.asarray(sigma, dtype=float))
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((n, chol.shape[0])) @ chol.T
+
+
 def sample_tlnpn(model: LatentCopulaModel, n: int, seed: int) -> np.ndarray:
     """Draw n rows: latent Gaussian with the fitted correlation, mapped
     through the normal CDF and each variable's empirical quantile table."""
     if n <= 0:
         raise ValueError("n must be positive")
-    rng = np.random.default_rng(seed)
-    p = model.sigma_hat.shape[0]
-    chol = np.linalg.cholesky(model.sigma_hat)
-    latent = rng.standard_normal((n, p)) @ chol.T
-    u = ndtr(latent)
-    out = np.empty((n, p))
-    for j in range(p):
+    u = ndtr(sample_mvn(n, model.sigma_hat, seed))
+    out = np.empty_like(u)
+    for j in range(u.shape[1]):
         out[:, j] = _empirical_quantile(model.marginals[j], u[:, j])
     return out

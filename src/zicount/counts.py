@@ -10,7 +10,7 @@ from enum import Enum
 
 import numpy as np
 from scipy.special import digamma, gammaln, zeta
-from scipy.stats import nbinom
+from scipy.special._ufuncs import _nbinom_isf
 
 from .exceptions import CountOverflowError, DegenerateTruncationError, InvalidParameterError
 
@@ -233,20 +233,30 @@ def _sample_nb(rng: np.random.Generator, mu, r):
 def _sample_zero_truncated_nb(rng: np.random.Generator, mu, r):
     """Zero-truncated NB draws: one inverse CDF on the survival side.
 
-    Each entry takes one uniform v on (0, 1 - NB(0)] and returns
-    ``nbinom.isf(v)``, the least k with NB survival P(X > k) <= v. So a
-    draw is >= k with probability P(X >= k) / (1 - NB(0)) for every
-    k >= 1, which is the zero-truncated law. Working in the upper tail
-    keeps 1 - NB(0) to full relative precision as NB(0) -> 1, and the cost
-    is one quantile per draw at any r. A uniform of exactly 0 gives
-    v = 1 - NB(0) and k = 0, which is clamped to 1; a draw beyond int64
-    raises :class:`CountOverflowError`.
+    Each entry takes one uniform v on (0, 1 - NB(0)] and returns the NB
+    survival quantile at v, the least k with P(X > k) <= v. So a draw is
+    >= k with probability P(X >= k) / (1 - NB(0)) for every k >= 1, which
+    is the zero-truncated law. Working in the upper tail keeps 1 - NB(0)
+    to full relative precision as NB(0) -> 1, and the cost is one quantile
+    per draw at any r. A uniform of exactly 0 gives v = 1 - NB(0) and
+    k = 0, which is clamped to 1; a draw beyond int64 raises
+    :class:`CountOverflowError`.
+
+    The quantile is scipy's ``_nbinom_isf`` ufunc, the one that
+    ``scipy.stats.nbinom.isf`` calls, under the same ``over="ignore"``
+    (scipy gh-17432); its bits are therefore those of ``nbinom.isf``. The
+    wrapper's other work never matters here: its argument checks always
+    pass; at v = 1 it returns -1 where the ufunc returns 0, and the clamp
+    turns both into 1; at v = 0 it returns inf where the ufunc raises
+    ``OverflowError``, but v = (1 - NB(0)) * (1 - u) > 0 always. Calling
+    the ufunc keeps ``scipy.stats`` out of ``import zicount``.
     """
     mu = np.asarray(mu, dtype=float)
     p_pos = _nb_positive(_log_nb_zero(mu, r))
     if np.any(p_pos <= 0.0):
         raise DegenerateTruncationError("1 - NB(0) underflowed; truncated NB undefined")
-    y = nbinom.isf(p_pos * (1.0 - rng.random(mu.shape)), r, r / (r + mu))
+    with np.errstate(over="ignore"):
+        y = _nbinom_isf(p_pos * (1.0 - rng.random(mu.shape)), r, r / (r + mu))
     if not np.all(y < 2.0**63):
         raise CountOverflowError(f"zero-truncated NB draw {np.max(y):.3g} exceeds int64 (r={r})")
     return np.maximum(y, 1).astype(np.int64)

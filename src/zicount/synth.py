@@ -13,7 +13,7 @@ from typing import Optional
 import numpy as np
 from scipy.special import expit, logit
 
-from .copula import LatentCopulaModel, sample_tlnpn
+from .copula import LatentCopulaModel, sample_mvn, sample_tlnpn
 from .counts import Flavor, _log_nb_zero, _sample_hnb, _sample_zinb
 from .exceptions import SelectionError
 
@@ -27,7 +27,6 @@ __all__ = [
     "ar_correlation",
     "gd_covariance",
     "random_orthogonal",
-    "sample_mvn",
     "gen_setting_one",
     "resolve_setting_one_gamma0",
     "gen_setting_two",
@@ -199,13 +198,6 @@ def random_orthogonal(p: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     q, rmat = np.linalg.qr(rng.standard_normal((p, p)))
     return q * np.sign(np.diag(rmat))
-
-
-def sample_mvn(n: int, sigma: np.ndarray, seed: int) -> np.ndarray:
-    """n i.i.d. rows from N(0, sigma) via the lower-triangular factor."""
-    chol = np.linalg.cholesky(np.asarray(sigma, dtype=float))
-    rng = np.random.default_rng(seed)
-    return rng.standard_normal((n, sigma.shape[0])) @ chol.T
 
 
 def gen_setting_one(config: SettingConfig, seed: int):

@@ -64,3 +64,45 @@ def test_loaded_on_first_use_not_at_import():
     code = "import zicount, zicount.bridge_table as b; assert b.load_table.cache_info().currsize == 0"
     src = Path(bridge_table.__file__).resolve().parents[1]
     subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+
+
+def test_scipy_stats_not_loaded_without_the_bridge_kernel():
+    """``import zicount``, a tiny setting-one run and a stand-in real-data
+    split whose pairs the table roots all leave ``scipy.stats`` unloaded:
+    only the bridge kernel's Sobol stream imports it."""
+    code = """
+import json, sys, tempfile
+from pathlib import Path
+
+def assert_no_stats(step):
+    assert "scipy.stats" not in sys.modules, f"scipy.stats loaded by {step}"
+
+import zicount
+assert_no_stats("import zicount")
+from zicount import copula
+from zicount.bench import Experiment, ExperimentConfig, run_experiment
+
+pairs = {"_bridge_roots": [], "_invert_bridge_batch": []}
+def counting(name):
+    inner = getattr(copula, name)
+    def wrapper(tau, *args):
+        pairs[name].append(len(tau))
+        return inner(tau, *args)
+    setattr(copula, name, wrapper)
+counting("_bridge_roots")
+counting("_invert_bridge_batch")
+
+configs = {
+    "setting_one": dict(experiment=Experiment.SETTING_ONE, grids={"zero_target": [0.4], "flavor": ["zinb", "hnb"]}, replications=2, n=200),
+    "real_data": dict(experiment=Experiment.REAL_DATA, folds=3, n_splits=1, dataset="standin"),
+}
+with tempfile.TemporaryDirectory() as tmp:
+    for name, kwargs in configs.items():
+        out = run_experiment(ExperimentConfig(seed=1, out=str(Path(tmp) / name), **kwargs))
+        assert json.loads((out / "manifest.json").read_text())["failures"] == [], name
+        assert_no_stats(name)
+# the split fits TLNPN, and the table roots every pair
+assert sum(pairs["_bridge_roots"]) > 0 and pairs["_invert_bridge_batch"] == [], pairs
+"""
+    src = Path(bridge_table.__file__).resolve().parents[1]
+    subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)

@@ -3,12 +3,12 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import nbinom
 
 from zicount import CountParams, Flavor, hnb_pmf, nb_log_pmf, nb_pmf, sample_count, zinb_pmf
-from zicount.counts import _nb_logpmf, _sample_zero_truncated_nb
+from zicount.counts import _log_nb_zero, _nb_logpmf, _nb_positive, _sample_zero_truncated_nb
 from zicount.exceptions import DegenerateTruncationError, InvalidParameterError, ZicountError
 
 mpmath.mp.dps = 50
@@ -217,6 +217,25 @@ class TestZeroTruncatedSampler:
         pmf = -(p**ks) / (ks * math.log(r / (mu + r)))
         y = sample_count(20_000, CountParams(mu=mu, r=r, pi=0.0, flavor=Flavor.HNB), seed=6)
         assert_positive_frequencies(y, pmf)
+
+    @given(log_r=st.floats(-15.0, 15.0), log_mu=st.floats(-30.0, 30.0), u=st.floats(0.0, 1.0, exclude_max=True))
+    # 1 - NB(0) rounds to 1 at r = 10, mu = 1e3, so a zero uniform gives
+    # v = 1, where nbinom.isf returns -1 and its ufunc returns 0
+    @example(log_r=math.log(10.0), log_mu=math.log(1e3), u=0.0)
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_quantile_equals_scipy_stats_nbinom_isf(self, log_r, log_mu, u):
+        # the sampler calls the ufunc behind nbinom.isf, at
+        # v = (1 - NB(0))(1 - u), and clamps to >= 1; a scipy release that
+        # renames or changes that ufunc fails here
+        r, mu = math.exp(log_r), np.array([math.exp(log_mu)])
+        v = _nb_positive(_log_nb_zero(mu, r)) * (1.0 - u)
+        expected = np.maximum(nbinom.isf(v, r, r / (r + mu)), 1.0)
+        if not expected[0] < 2.0**63:
+            with pytest.raises(ZicountError, match="int64"):
+                _sample_zero_truncated_nb(StubGenerator(u), mu, r)
+            return
+        y = _sample_zero_truncated_nb(StubGenerator(u), mu, r)
+        assert y.tolist() == expected.astype(np.int64).tolist()
 
     def test_zero_uniform_gives_one(self):
         y = _sample_zero_truncated_nb(StubGenerator(0.0), np.array([0.05, 3.0, 300.0]), 0.5)
