@@ -89,6 +89,21 @@ def load_counts_csv(path) -> Dataset:
     Rejects negative, non-numeric, and non-integral cells with the exact
     (row, column) location; rows are numbered from 1 including the header.
     """
+    names, values = _read_csv(path, _count_cell_error)
+    return Dataset(values=values, variable_names=names, provenance=(f"load({Path(path).name})",))
+
+
+def _count_cell_error(value):
+    if not math.isfinite(value) or value < 0:
+        return "negative or non-finite cell"
+    return "non-integer count" if value != int(value) else None
+
+
+def _read_csv(path, cell_error):
+    """(column names, n x p float array) of a CSV table whose header row
+    names its columns. Blank rows are skipped; a ragged row, a non-numeric
+    cell or a number that ``cell_error`` names (it returns a description,
+    or None for a valid number) raises ParseError with its location."""
     path = Path(path)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -109,15 +124,14 @@ def load_counts_csv(path) -> Dataset:
                     value = float(cell)
                 except ValueError:
                     raise ParseError(f"{path}: row {row_num}, column {col_num}: non-numeric cell {cell!r}") from None
-                if not math.isfinite(value) or value < 0:
-                    raise ParseError(f"{path}: row {row_num}, column {col_num}: negative or non-finite cell {cell!r}")
-                if value != int(value):
-                    raise ParseError(f"{path}: row {row_num}, column {col_num}: non-integer count {cell!r}")
+                error = cell_error(value)
+                if error is not None:
+                    raise ParseError(f"{path}: row {row_num}, column {col_num}: {error} {cell!r}")
                 parsed.append(value)
             rows.append(parsed)
     if not rows:
         raise ParseError(f"{path}: no data rows")
-    return Dataset(values=np.asarray(rows, dtype=float), variable_names=names, provenance=(f"load({path.name})",))
+    return names, np.asarray(rows, dtype=float)
 
 
 def rescale_power(data: Dataset, exponent: float) -> Dataset:
@@ -338,15 +352,18 @@ def _load_source(dataset: str, rescale_exponent: Optional[float] = None) -> Data
 
 
 def _report_tables(report: EvalReport, key: dict) -> dict:
-    """The five row tables of one evaluated cell, by table name.
+    """The six row tables of one evaluated cell, by table name.
 
     ``key`` (the grid point and replication) leads every row; a table the
-    report has nothing for is an empty list.
+    report has nothing for is an empty list. ``failed_records`` holds the
+    error of each failed record, so a clean run writes no file for it.
     """
-    tables = {"distances": [], "amc": [], "marginal": [], "corr_gap": [], "residuals": []}
+    tables = {"distances": [], "amc": [], "marginal": [], "corr_gap": [], "residuals": [], "failed_records": []}
     for rec in report.records:
         rec_key = dict(key, split=rec.split, fold=rec.fold, model=rec.model)
         tables["distances"].append(dict(rec_key, distance="" if rec.failed else rec.distance, failed=int(rec.failed)))
+        if rec.failed:
+            tables["failed_records"].append(dict(rec_key, error=rec.error))
         if rec.marginal is not None:
             tables["marginal"] += [dict(rec_key, variable=j, distance=d) for j, d in enumerate(rec.marginal)]
         if rec.corr_gap is not None:

@@ -18,6 +18,7 @@ from .bench import (
     _checked,
     _count,
     _load_source,
+    _read_csv,
     _write_csv,
     config_from_json,
     emit_report,
@@ -65,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     fp.add_argument("--data", required=True, help="counts CSV (header + numeric rows)")
     fp.add_argument("--model", choices=["zinb", "hnb", "nb"], required=True)
     fp.add_argument("--column", type=int, default=0, help="response column index")
-    fp.add_argument("--covariates", default=None, help="optional covariate CSV (same row count)")
+    fp.add_argument("--covariates", default=None, help="optional CSV of real covariates (same row count)")
     fp.add_argument("--out", default=None, help="write the JSON fit summary here instead of stdout")
     fp.set_defaults(handler=_cmd_fit)
 
@@ -133,7 +134,9 @@ def _cmd_fit(args) -> int:
     y = data.values[:, args.column].astype(np.int64)
     flavor = Flavor(args.model)
     if args.covariates is not None:
-        cov = load_counts_csv(args.covariates).values
+        cov = _read_csv(args.covariates, lambda v: None if np.isfinite(v) else "non-finite cell")[1]
+        if len(cov) != len(y):
+            raise ValueError(f"--covariates {args.covariates} has {len(cov)} rows, --data has {len(y)}")
         X = np.column_stack([np.ones(len(y)), cov])
         if flavor is Flavor.NB:
             print("error: NB fits are intercept-only", file=sys.stderr)

@@ -94,20 +94,19 @@ def _nb_positive(log_p0):
     return -np.expm1(log_p0)
 
 
-def _nb_logpmf(y, mu, r, score=False, truncated=False, hessian=False, log_y_factorial=None, distinct=None):
+def _nb_logpmf(y, mu, r, derivatives=False, truncated=False, log_y_factorial=None, distinct=None):
     """log NB(y; mu, r), vectorized over y, mu and r; with ``truncated`` the
     zero-truncated NB, log NB(y) - log(1 - NB(0)).
 
-    With ``score=True`` also returns the derivatives in eta = log mu and in
-    log r, as ``(logpmf, d_eta, d_log_r)``; with ``hessian=True`` also the
-    second derivatives, as ``(logpmf, d_eta, d_log_r, h_eta_eta,
-    h_eta_log_r, h_log_r_log_r)``. Every fitting objective and likelihood
-    is built from this one kernel. ``log_y_factorial`` is gammaln(y + 1)
-    when the caller holds it: a fit's counts do not change between calls.
-    For a scalar ``r``, ``distinct`` is (values, index) with y =
-    values[index]; the special functions of y + r (log-gamma, digamma and
-    the trigamma, dearer than the rest of a call) are then evaluated once
-    per distinct count.
+    With ``derivatives=True`` it returns ``(logpmf, d_eta, d_log_r,
+    h_eta_eta, h_eta_log_r, h_log_r_log_r)``: the log pmf and its first and
+    second derivatives in eta = log mu and log r. Every fitting objective
+    and likelihood is built from this one kernel. ``log_y_factorial`` is
+    gammaln(y + 1) when the caller holds it: a fit's counts do not change
+    between calls. For a scalar ``r``, ``distinct`` is (values, index) with
+    y = values[index]; the special functions of y + r (log-gamma, digamma
+    and the trigamma, dearer than the rest of a call) are then evaluated
+    once per distinct count, with the same bits as row by row.
     """
     y = np.asarray(y, dtype=float)
     log_p0 = _log_nb_zero(mu, r)
@@ -129,42 +128,36 @@ def _nb_logpmf(y, mu, r, score=False, truncated=False, hessian=False, log_y_fact
     if truncated:
         log_pos = np.log(_nb_positive(log_p0))
         logpmf = logpmf - log_pos
-    if not (score or hessian):
+    if not derivatives:
         return logpmf
     d_eta = r * (y - mu) / mu_r
     # r*[psi(y+r) - psi(r) - (y - mu)/(mu + r) - log1p(mu/r)]
     r_psi = r * (at_y_r(digamma) - digamma(r))
     d_log_r = r_psi - d_eta + log_p0
-    if not (hessian or truncated):
-        return logpmf, d_eta, d_log_r
     # log NB(0) has the derivatives -r*mu/(mu + r) in eta and
     # log NB(0) + r*mu/(mu + r) in log r
     d0_eta = -r * mu / mu_r
     d0_log_r = log_p0 - d0_eta
-    if hessian:
-        # the terms that do not depend on y are kept apart and added once at
-        # the end: they are scalars for the intercept-only fits' one mu and r
-        h_eta_eta = d0_eta / mu_r * y_r
-        h_eta_log_r = mu / mu_r * d_eta
-        # zeta(2, x) is the trigamma function psi'(x)
-        h_log_r_log_r = r_psi - h_eta_log_r + r * r * at_y_r(lambda v: zeta(2, v))
-        c_eta_eta, c_eta_log_r, c_log_r_log_r = 0.0, 0.0, d0_log_r - r * r * zeta(2, r)
+    # the terms that do not depend on y are kept apart and added once at the
+    # end: they are scalars for the intercept-only fits' one mu and r
+    h_eta_eta = d0_eta / mu_r * y_r
+    h_eta_log_r = mu / mu_r * d_eta
+    # zeta(2, x) is the trigamma function psi'(x)
+    h_log_r_log_r = r_psi - h_eta_log_r + r * r * at_y_r(lambda v: zeta(2, v))
+    c_eta_eta, c_eta_log_r, c_log_r_log_r = 0.0, 0.0, d0_log_r - r * r * zeta(2, r)
     if truncated:
         # d[-log(1 - NB(0))] = NB(0)/(1 - NB(0)) * d log NB(0)
         odds0 = np.exp(log_p0 - log_pos)
         d_eta = d_eta + odds0 * d0_eta
         d_log_r = d_log_r + odds0 * d0_log_r
-        if hessian:
-            # odds0 has the derivative odds0*(1 + odds0) in log NB(0), whose
-            # second derivatives are -r^2*mu/(mu + r)^2 in eta, -r*mu^2/(mu + r)^2
-            # across and d0_log_r + r*mu^2/(mu + r)^2 in log r
-            slope = odds0 * (1.0 + odds0)
-            cross0 = d0_eta * mu / mu_r
-            c_eta_eta = odds0 * d0_eta * r / mu_r + slope * d0_eta * d0_eta
-            c_eta_log_r = odds0 * cross0 + slope * d0_eta * d0_log_r
-            c_log_r_log_r = c_log_r_log_r + odds0 * (d0_log_r - cross0) + slope * d0_log_r * d0_log_r
-    if not hessian:
-        return logpmf, d_eta, d_log_r
+        # odds0 has the derivative odds0*(1 + odds0) in log NB(0), whose
+        # second derivatives are -r^2*mu/(mu + r)^2 in eta, -r*mu^2/(mu + r)^2
+        # across and d0_log_r + r*mu^2/(mu + r)^2 in log r
+        slope = odds0 * (1.0 + odds0)
+        cross0 = d0_eta * mu / mu_r
+        c_eta_eta = odds0 * d0_eta * r / mu_r + slope * d0_eta * d0_eta
+        c_eta_log_r = odds0 * cross0 + slope * d0_eta * d0_log_r
+        c_log_r_log_r = c_log_r_log_r + odds0 * (d0_log_r - cross0) + slope * d0_log_r * d0_log_r
     return logpmf, d_eta, d_log_r, h_eta_eta + c_eta_eta, h_eta_log_r + c_eta_log_r, h_log_r_log_r + c_log_r_log_r
 
 

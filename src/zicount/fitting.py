@@ -162,9 +162,9 @@ def hnb_loglik(y, X, coef: RegressionCoefficients) -> float:
     return total
 
 
-# Every objective returns (negative log-likelihood, gradient). The gradient
-# is that of the clipped objective, so it is 0 in a coordinate whose clip
-# is active.
+# Every objective returns (negative log-likelihood, gradient, Hessian). The
+# derivatives are those of the clipped objective, so they are 0 in a
+# coordinate whose clip is active.
 
 
 def _clipped(v, bound):
@@ -179,27 +179,26 @@ def _clip_log_r(log_r) -> float:
     return min(max(float(log_r), -_LOG_R_CLIP), _LOG_R_CLIP)
 
 
-def _logistic_negll(gamma, b, Z, hessian=False):
-    """With ``hessian`` it also returns Z' diag(pi (1 - pi) inside) Z."""
+def _logistic_negll(gamma, b, Z):
+    """Logistic objective of the 0/1 vector ``b`` on Z; its Hessian is
+    Z' diag(pi (1 - pi) inside) Z."""
     eta, inside = _clipped(Z @ gamma, _ETA_CLIP)
     pi = expit(eta)
     value = -float((b * eta - np.logaddexp(0.0, eta)).sum())
     grad = -(Z.T @ ((b - pi) * inside))
-    if not hessian:
-        return value, grad
     return value, grad, (Z.T * (pi * (1.0 - pi) * inside)) @ Z
 
 
-def _zinb_negll(theta, y, X, Z, log_y_factorial=None, hessian=False, distinct=None):
-    """ZINB objective in theta = (beta, gamma, log r); ``hessian`` adds the
-    Hessian. A fit passes gammaln(y + 1) as ``log_y_factorial`` and the
-    distinct counts as ``distinct`` (see :func:`counts._nb_logpmf`) once."""
+def _zinb_negll(theta, y, X, Z, log_y_factorial=None, distinct=None):
+    """ZINB objective in theta = (beta, gamma, log r). A fit passes
+    gammaln(y + 1) as ``log_y_factorial`` and the distinct counts as
+    ``distinct`` (see :func:`counts._nb_logpmf`) once."""
     q1 = X.shape[1]
     eta_mu, in_mu = _clipped(X @ theta[:q1], _ETA_CLIP)
     eta_pi, in_pi = _clipped(Z @ theta[q1:-1], _ETA_CLIP)
     log_r, in_r = _clip_log_r(theta[-1]), abs(theta[-1]) <= _LOG_R_CLIP
-    rows = _nb_logpmf(y, np.exp(eta_mu), np.exp(log_r), True, False, hessian, log_y_factorial, distinct)
-    log_nb, d_eta, d_log_r = rows[:3]
+    rows = _nb_logpmf(y, np.exp(eta_mu), np.exp(log_r), True, False, log_y_factorial, distinct)
+    log_nb, d_eta, d_log_r, h_eta, h_cross, h_log_r = rows
 
     zero = y == 0
     # a zero is structural or an NB zero: log(e^eta_pi + NB(0)) - log(1 + e^eta_pi)
@@ -213,13 +212,10 @@ def _zinb_negll(theta, y, X, Z, log_y_factorial=None, hessian=False, distinct=No
     g_mu = nb_share * d_eta * in_mu
     g_pi = (zero_share - pi) * in_pi
     g_r = (nb_share * d_log_r).sum() * in_r
-    value, grad = -float(ll), -np.concatenate([X.T @ g_mu, Z.T @ g_pi, [g_r]])
-    if not hessian:
-        return value, grad
+    grad = -np.concatenate([X.T @ g_mu, Z.T @ g_pi, [g_r]])
     # with a = eta_pi and b = log NB(0), a zero row's log(e^a + e^b) has the
     # second derivatives w(1 - w) in a and in b and -w(1 - w) across; b's
     # own derivatives in (eta_mu, log r) are the kernel's
-    h_eta, h_cross, h_log_r = rows[3:]
     spread = nb_share * zero_share
     s_eta, s_log_r = spread * d_eta, spread * d_log_r
     second = (
@@ -231,7 +227,7 @@ def _zinb_negll(theta, y, X, Z, log_y_factorial=None, hessian=False, distinct=No
         (None, (spread - pi * (1.0 - pi)) * in_pi, -s_log_r * (in_pi * in_r)),
         (None, None, (nb_share * h_log_r + s_log_r * d_log_r) * in_r),
     )
-    return value, grad, -_chain_hessian((X, Z), second)
+    return -float(ll), grad, -_chain_hessian((X, Z), second)
 
 
 def _chain_hessian(designs, second):
@@ -257,71 +253,54 @@ def _chain_hessian(designs, second):
     return hess
 
 
-def _nb_negll(theta, X, y, w, truncated, log_y_factorial=None, hessian=False, distinct=None):
+def _nb_negll(theta, X, y, w, truncated, log_y_factorial=None, distinct=None):
     """NB objective in theta = (beta, log r). Row i has the count y_i, the
     weight w_i (the number of observations it stands for) and the mean
     exp(x_i'beta); ``X`` None is the intercept-only design, one mean
     exp(beta_0) for every row. With ``truncated`` each row is a
     zero-truncated NB. The hurdle regression passes one row per positive
     count and w = 1.0; the intercept-only fits pass the distinct counts and
-    how often each occurs. ``hessian`` adds the Hessian. A fit passes
-    gammaln(y + 1) as ``log_y_factorial`` and, for the regression shape,
-    the distinct counts as ``distinct`` (see :func:`counts._nb_logpmf`)
-    once."""
+    how often each occurs. A fit passes gammaln(y + 1) as
+    ``log_y_factorial`` and, for the regression shape, the distinct counts
+    as ``distinct`` (see :func:`counts._nb_logpmf`) once."""
     log_r, in_r = _clip_log_r(theta[-1]), abs(theta[-1]) <= _LOG_R_CLIP
     if X is not None:
         eta, in_eta = _clipped(X @ theta[:-1], _ETA_CLIP)
         # the clips keep 1 - NB(0) >= ~e^-30, so a truncated log pmf is finite
-        rows = _nb_logpmf(y, np.exp(eta), np.exp(log_r), True, truncated, hessian, log_y_factorial, distinct)
+        rows = _nb_logpmf(y, np.exp(eta), np.exp(log_r), True, truncated, log_y_factorial, distinct)
         log_nb, d_eta, d_log_r = rows[:3]
         g_eta = w * d_eta * in_eta
-        value = -float((w * log_nb).sum())
         grad = -np.concatenate([X.T @ g_eta, [(w * d_log_r).sum() * in_r]])
-        if not hessian:
-            return value, grad
         h_eta, h_cross, h_log_r = (w * row for row in rows[3:])
         second = ((h_eta * in_eta, h_cross * (in_eta * in_r)), (None, h_log_r * in_r))
-        return value, grad, -_chain_hessian((X,), second)
+        return -float((w * log_nb).sum()), grad, -_chain_hessian((X,), second)
     # one mean for every row, kept a scalar: each sum over rows is a dot
     # product with the weights, and a column of ones would make a call about
     # a fifth dearer
     eta, in_eta = min(max(float(theta[0]), -_ETA_CLIP), _ETA_CLIP), abs(theta[0]) <= _ETA_CLIP
-    rows = _nb_logpmf(y, math.exp(eta), math.exp(log_r), True, truncated, hessian, log_y_factorial)
-    log_nb, d_eta, d_log_r, *second = (w @ row for row in rows)
-    value, grad = -float(log_nb), np.array([-d_eta * in_eta, -d_log_r * in_r])
-    if not hessian:
-        return value, grad
+    rows = _nb_logpmf(y, math.exp(eta), math.exp(log_r), True, truncated, log_y_factorial)
+    log_nb, d_eta, d_log_r, h_eta, h_cross, h_log_r = (w @ row for row in rows)
+    grad = np.array([-d_eta * in_eta, -d_log_r * in_r])
     # a clip's derivative is 0 or 1, so each second derivative takes it once
     # per coordinate
-    h_eta, h_cross, h_log_r = second
     h_cross = -h_cross * (in_eta and in_r)
-    return value, grad, np.array([[-h_eta * in_eta, h_cross], [h_cross, -h_log_r * in_r]])
+    return -float(log_nb), grad, np.array([[-h_eta * in_eta, h_cross], [h_cross, -h_log_r * in_r]])
 
 
 def _minimize(fun, x0, args, bounds=None, **options):
     """One ``scipy.optimize.minimize`` run of :func:`_newton`, as a custom
-    ``method=``, on an objective returning (value, gradient, Hessian);
-    ``bounds`` and ``options`` (``n_obs``, ``size``) go to :func:`_newton`.
-    Going through ``minimize`` (public API; about 20 us a call) keeps one
-    hookable call per fit, with its ``nfev``, ``nit`` and ``callback``.
+    ``method=``, on the objective ``fun`` itself, which returns (value,
+    gradient, Hessian); ``bounds`` and ``options`` (``n_obs``, ``size``) go
+    to :func:`_newton`. Going through ``minimize`` (public API; about 20 us
+    a call) keeps one hookable call per fit, with its ``nfev``, ``nit`` and
+    ``callback``.
 
     Returns (x, negll, converged). Raises InitializationError when the
-    objective is not finite at ``x0`` or at the end (the clips keep it
-    finite on finite data). The check at ``x0`` reads the run's own first
-    evaluation: no call outside ``nfev``.
+    objective is not finite at ``x0``, which :func:`_newton` checks on its
+    own first evaluation, or at the end (the clips keep it finite on finite
+    data).
     """
-    started = False
-
-    def checked(x, *a):
-        nonlocal started
-        out = fun(x, *a)
-        if not started:
-            if not np.isfinite(out[0]):
-                raise InitializationError("objective not finite at the starting point")
-            started = True
-        return out
-
-    res = minimize(checked, x0, args=args, method=_newton, bounds=bounds, options=options)
+    res = minimize(fun, x0, args=args, method=_newton, bounds=bounds, options=options)
     if not np.isfinite(res.fun):
         raise InitializationError("objective not finite at the optimizer's end point")
     return res.x, float(res.fun), bool(res.success)
@@ -462,7 +441,7 @@ def _fit_logistic(b, Z):
     InitializationError when the objective is not finite at the start, as
     :func:`_minimize` does.
     """
-    res = _newton(_logistic_negll, np.zeros(Z.shape[1]), (b, Z, True), n_obs=len(b))
+    res = _newton(_logistic_negll, np.zeros(Z.shape[1]), (b, Z), n_obs=len(b))
     return res.x, res.fun, res.success
 
 
@@ -503,15 +482,15 @@ def _rounding_size(n, log_y_factorial_sum):
 
 def _counts_constants(y, dim):
     """A regression fit's constants of the counts ``y``: the objective's
-    trailing arguments (gammaln(y + 1), the Hessian flag and the distinct
-    counts) and :func:`_newton`'s options (log r kept inside its clip, the
-    rounding tolerance) for ``dim`` parameters. The objective's designs
+    trailing arguments (gammaln(y + 1) and the distinct counts) and
+    :func:`_newton`'s options (log r kept inside its clip, the rounding
+    tolerance) for ``dim`` parameters. The objective's designs
     are passed in Fortran order: its Hessian reads their columns."""
     log_y_factorial = gammaln(y + 1)
     bounds = np.full((dim, 2), (-np.inf, np.inf))
     bounds[-1] = (-_LOG_R_CLIP, _LOG_R_CLIP)
     options = dict(bounds=bounds, n_obs=len(y), size=_rounding_size(len(y), log_y_factorial.sum()))
-    return (log_y_factorial, True, np.unique(y, return_inverse=True)), options
+    return (log_y_factorial, np.unique(y, return_inverse=True)), options
 
 
 def fit_regression(y, X, Z=None, flavor: Flavor = Flavor.ZINB) -> RegressionFit:
@@ -599,7 +578,7 @@ def fit_intercept_only(y, flavor: Flavor) -> RegressionFit:
     theta0 = np.array([math.log(m), math.log(min(max(r, 1e-3), 1e3))])
     log_y_factorial = gammaln(values + 1)
     size = _rounding_size(n_fit, counts @ log_y_factorial)
-    args = (None, values, counts, truncated, log_y_factorial, True)
+    args = (None, values, counts, truncated, log_y_factorial)
     x, negll, ok = _minimize(_nb_negll, theta0, args, bounds=_INTERCEPT_BOX, n_obs=n_fit, size=size)
     if flavor is Flavor.NB:
         coef = RegressionCoefficients(beta=x[:1], gamma=np.empty(0), log_r=_clip_log_r(x[-1]))
@@ -617,7 +596,7 @@ def _observed_information(y, X, Z, fit: RegressionFit) -> np.ndarray:
     coef = fit.coefficients
     if fit.flavor is Flavor.ZINB:
         theta = np.concatenate([coef.beta, coef.gamma, [coef.log_r]])
-        return _zinb_negll(theta, y.astype(float), X, Z, hessian=True)[2]
+        return _zinb_negll(theta, y.astype(float), X, Z)[2]
     # the hurdle likelihood factorizes: the logistic part informs gamma, the
     # zero-truncated NB part (beta, log r)
     q1, q2 = X.shape[1], coef.gamma.size
@@ -625,8 +604,8 @@ def _observed_information(y, X, Z, fit: RegressionFit) -> np.ndarray:
     nb = np.r_[0:q1, q1 + q2]
     info = np.zeros((q1 + q2 + 1, q1 + q2 + 1))
     theta = np.append(coef.beta, coef.log_r)
-    info[np.ix_(nb, nb)] = _nb_negll(theta, X[pos], y[pos].astype(float), 1.0, True, hessian=True)[2]
-    info[q1 : q1 + q2, q1 : q1 + q2] = _logistic_negll(coef.gamma, (y == 0).astype(float), X, hessian=True)[2]
+    info[np.ix_(nb, nb)] = _nb_negll(theta, X[pos], y[pos].astype(float), 1.0, True)[2]
+    info[q1 : q1 + q2, q1 : q1 + q2] = _logistic_negll(coef.gamma, (y == 0).astype(float), X)[2]
     return info
 
 

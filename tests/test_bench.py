@@ -439,6 +439,21 @@ class TestRunExperiment:
         assert cells[0][1] == cells[1][1] and cells[2][1] == cells[3][1]
 
 
+    def test_failed_records_name_their_error(self, tmp_path):
+        # one column is below the copula's p >= 2, so every TLNPN record fails
+        path = tmp_path / "counts.csv"
+        path.write_text("a\n" + "\n".join(str(v) for v in np.random.default_rng(3).poisson(2.0, 40)) + "\n")
+        config = ExperimentConfig(
+            experiment=Experiment.REAL_DATA, folds=3, n_splits=1, seed=5, out=str(tmp_path / "rd"), dataset=str(path)
+        )
+        tables = read_results(run_experiment(config))
+        assert tables["manifest"]["failures"] == [] and "failed_records" in tables["manifest"]["tables"]
+        failed = [(r["model"], r["fold"]) for r in tables["distances"] if r["failed"] == "1"]
+        assert failed and all(model == "tlnpn" for model, _ in failed)
+        assert [(r["model"], r["fold"]) for r in tables["failed_records"]] == failed
+        assert all("need n >= 10 and p >= 2" in r["error"] for r in tables["failed_records"])
+
+
 def tiny_config(experiment, out, counts_path):
     """The smallest config of each experiment kind that still runs every
     stage; each gets only the keys it reads."""
@@ -513,6 +528,7 @@ class TestReportTables:
                 [("AR", 0.5, 2, 1, 0, "hnb", 0, 0.25), ("AR", 0.5, 2, 1, 0, "hnb", 1, 0.5)],
             ),
             "corr_gap": (rec_cols + ["corr_gap"], [("AR", 0.5, 2, 1, 0, "hnb", 0.125)]),
+            "failed_records": (rec_cols + ["error"], [("AR", 0.5, 2, 1, 1, "tlnpn", "boom")]),
             "residuals": (
                 rec_cols + ["variable", "rank", "residual"],
                 [

@@ -7,6 +7,7 @@ import pytest
 from zicount import CorrelationSpec, CorrKind, Flavor, bench
 from zicount.cli import main
 from zicount.evaluate import wasserstein_pd
+from zicount.fitting import fit_regression
 from zicount.exceptions import InvalidParameterError
 from zicount.synth import gen_setting_one, gen_setting_two, setting_one_config, setting_two_config
 
@@ -61,6 +62,43 @@ class TestFitCommand:
         assert len(payload["beta"]) == 1 + covariates and payload["n_params"] == 3 + 2 * covariates
         assert payload["converged"] is True
         assert payload["aic"] == 2 * payload["n_params"] - 2 * payload["loglik"]
+
+    def test_fit_simulated_setting_one_on_its_real_covariate(self, tmp_path, capsys):
+        params = tmp_path / "p.json"
+        params.write_text("{}")
+        sim = tmp_path / "sim.csv"
+        assert main(["simulate", "--scenario", "one", "--params", str(params), "--seed", "4", "--out", str(sim)]) == 0
+        with open(sim, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        y = np.array([float(row["y"]) for row in rows]).astype(np.int64)
+        x = np.array([float(row["x"]) for row in rows])
+        assert np.any(x != np.round(x)) and np.any(x < 0)
+        data = write_counts(tmp_path / "y.csv", y[:, None], ["y"])
+        cov = write_counts(tmp_path / "x.csv", x[:, None], ["x"])
+        capsys.readouterr()
+        assert main(["fit", "--data", str(data), "--model", "zinb", "--covariates", str(cov)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        X = np.column_stack([np.ones(len(y)), x])
+        fit = fit_regression(y, X, X, Flavor.ZINB)
+        assert payload["converged"] is True and payload["n_params"] == 5
+        assert payload["loglik"] == fit.loglik and payload["beta"] == fit.coefficients.beta.tolist()
+
+    @pytest.mark.parametrize(
+        "cells, message",
+        [
+            (["0.5", "x1"] + ["1.5"] * 48, "row 3, column 1: non-numeric cell 'x1'"),
+            (["-0.5", "inf"] + ["1.5"] * 48, "row 3, column 1: non-finite cell 'inf'"),
+            (["-0.5"] * 49, "has 49 rows, --data has 50"),
+        ],
+    )
+    def test_bad_covariates_are_an_error_line(self, counts_csv, tmp_path, capsys, cells, message):
+        cov = tmp_path / "cov.csv"
+        cov.write_text("x\n" + "\n".join(cells) + "\n")
+        assert main(["fit", "--data", str(counts_csv), "--model", "zinb", "--covariates", str(cov)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert len(captured.err.splitlines()) == 1
 
     @pytest.mark.parametrize("column", [3, -1])
     def test_column_outside_the_table_is_error(self, counts_csv, capsys, column):

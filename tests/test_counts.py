@@ -59,7 +59,7 @@ class TestNbLogPmf:
         # scipy gets p = r/(r + mu) rounded, so its y*log(1 - p) is off by
         # up to ~1e-16 * y * r/mu
         assert _nb_logpmf(y, mu, r) == pytest.approx(expected, rel=1e-9, abs=1e-9 + 1e-15 * y * r / mu)
-        assert _nb_logpmf(y, mu, r, score=True)[0] == _nb_logpmf(y, mu, r)
+        assert _nb_logpmf(y, mu, r, derivatives=True)[0] == _nb_logpmf(y, mu, r)
 
     @given(
         y=st.integers(0, 500),
@@ -78,11 +78,32 @@ class TestNbLogPmf:
         eta, lr = mpmath.mpf(log_mu), mpmath.mpf(log_r)
         d_eta = float(mpmath.diff(lambda e: log_pmf(e, lr), eta))
         d_log_r = float(mpmath.diff(lambda v: log_pmf(eta, v), lr))
-        _, ours_eta, ours_log_r = _nb_logpmf(y, math.exp(log_mu), math.exp(log_r), score=True)
+        _, ours_eta, ours_log_r = _nb_logpmf(y, math.exp(log_mu), math.exp(log_r), derivatives=True)[:3]
         r = math.exp(log_r)
         assert ours_eta == pytest.approx(d_eta, rel=1e-10, abs=1e-12)
         # r*(psi(y+r) - psi(r)) cancels to O(y^2/r): its rounding is ~1e-16 * r*log(r)
         assert ours_log_r == pytest.approx(d_log_r, rel=1e-8, abs=1e-12 * (1.0 + r * abs(log_r)))
+
+    @given(
+        y=st.lists(st.integers(0, 500), min_size=1, max_size=30),
+        log_mu=st.floats(-30.0, 30.0),
+        log_r=st.floats(-15.0, 15.0),
+        truncated=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_derivatives_and_distinct_counts_keep_the_bits(self, y, log_mu, log_r, truncated):
+        """The log pmf is the same with its derivatives as without them, and
+        each of the six outputs is the same per distinct count as row by
+        row, truncated or not, over the fits' clipped (log mu, log r)."""
+        y = np.array(y, dtype=float) + truncated
+        mu, r = math.exp(log_mu), math.exp(log_r)
+        rows = _nb_logpmf(y, mu, r, derivatives=True, truncated=truncated)
+        assert len(rows) == 6
+        np.testing.assert_array_equal(rows[0], _nb_logpmf(y, mu, r, truncated=truncated))
+        distinct = np.unique(y, return_inverse=True)
+        per_distinct = _nb_logpmf(y, mu, r, derivatives=True, truncated=truncated, distinct=distinct)
+        for row, other in zip(rows, per_distinct, strict=True):
+            np.testing.assert_array_equal(other, row)
 
     def test_invalid_parameters(self):
         with pytest.raises(InvalidParameterError):

@@ -674,8 +674,8 @@ def test_regression_and_histogram_shapes_agree(truncated):
         y += 1.0
     for theta in ([1.2, -0.4], [3.0, 2.5], [-2.0, 6.0], [0.3, -9.0]):
         theta = np.array(theta)
-        value, grad = _nb_negll(theta, np.ones((len(y), 1)), y, 1.0, truncated)
-        h_value, h_grad = _nb_negll(theta, *_histogram_shape(y, truncated))
+        value, grad, _ = _nb_negll(theta, np.ones((len(y), 1)), y, 1.0, truncated)
+        h_value, h_grad, _ = _nb_negll(theta, *_histogram_shape(y, truncated))
         assert h_value == pytest.approx(value, rel=1e-12)
         np.testing.assert_allclose(h_grad, grad, rtol=1e-12)
 
@@ -799,11 +799,9 @@ def _kernel_hessian_matches_its_score(y, theta, truncated, step, atol):
     against central differences of that row's analytic score."""
 
     def kernel(t):
-        return _nb_logpmf(y, math.exp(t[0]), math.exp(t[1]), score=True, truncated=truncated)
+        return _nb_logpmf(y, math.exp(t[0]), math.exp(t[1]), derivatives=True, truncated=truncated)
 
-    h_eta, h_cross, h_log_r = _nb_logpmf(
-        y, math.exp(theta[0]), math.exp(theta[1]), truncated=truncated, hessian=True
-    )[3:]
+    h_eta, h_cross, h_log_r = kernel(theta)[3:]
     d_eta = _central_difference(kernel, theta, (), step, part=1)
     d_log_r = _central_difference(kernel, theta, (), step, part=2)
     pairs = ((h_eta, d_eta[:, 0]), (h_cross, d_eta[:, 1]), (h_cross, d_log_r[:, 0]), (h_log_r, d_log_r[:, 1]))
@@ -832,12 +830,7 @@ _near_or_inside = lambda clip: st.one_of(  # noqa: E731
 
 
 @given(
-    objective=st.sampled_from(
-        [
-            "logistic", "zinb", "regression", "histogram", "histogram_truncated",
-            "zinb_hessian", "regression_hessian", "histogram_hessian", "histogram_truncated_hessian",
-        ]
-    ),
+    objective=st.sampled_from(["logistic", "zinb", "regression", "histogram", "histogram_truncated"]),
     column=st.sampled_from(["mixed", "all_zero", "no_zero"]),
     n=st.integers(3, 25),
     seed=st.integers(0, 2**31),
@@ -866,15 +859,15 @@ def test_objective_gradient_matches_central_difference(objective, column, n, see
     if objective == "logistic":
         fun, theta, args = _logistic_negll, gamma, ((y == 0).astype(float), X)
         size = float(np.abs(np.clip(X @ gamma, -_ETA_CLIP, _ETA_CLIP)).sum())
-    elif objective in ("zinb", "zinb_hessian"):
+    elif objective == "zinb":
         fun, theta, args = _zinb_negll, np.concatenate([beta, gamma, [log_r]]), (y, X, X)
         size = _nb_term_size(y, X @ beta, log_r) + float(np.abs(X @ gamma).sum())
-    elif objective in ("regression", "regression_hessian"):
+    elif objective == "regression":
         assume(column != "all_zero")
         pos = y > 0
         fun, theta, args = _nb_negll, np.append(beta, log_r), (X[pos], y[pos], 1.0, True)
         size = 2.0 * _nb_term_size(y[pos], X[pos] @ beta, log_r)
-    elif objective in ("histogram", "histogram_hessian"):
+    elif objective == "histogram":
         fun, theta, args = _nb_negll, np.array([eta_mu, log_r]), _histogram_shape(y, truncated=False)
         size = _nb_term_size(y, np.full(n, eta_mu), log_r)
     else:
@@ -882,25 +875,26 @@ def test_objective_gradient_matches_central_difference(objective, column, n, see
         pos = y[y > 0]
         fun, theta, args = _nb_negll, np.array([eta_mu, log_r]), _histogram_shape(pos, truncated=True)
         size = 2.0 * _nb_term_size(pos, np.full(len(pos), eta_mu), log_r)
-    value, grad = fun(theta, *args)
-    assert np.isfinite(value) and grad.shape == theta.shape
+    value, grad, hess = fun(theta, *args)
+    assert np.isfinite(value) and grad.shape == theta.shape and hess.shape == (len(theta), len(theta))
     if objective != "logistic" and abs(log_r) > _LOG_R_CLIP:
         assert grad[-1] == 0.0
     fd = _central_difference(fun, theta, args, step)
     np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-6 + 1e-13 * size / step)
-    if objective.endswith("hessian"):
-        # the score rounds at about the size of the value's terms too
-        if objective.startswith("histogram"):
-            h_value, h_grad, hess = fun(theta, *args, hessian=True)
-            _kernel_hessian_matches_its_score(args[1], theta, args[3], step, atol=1e-6 + 1e-13 * size / step)
-        else:
-            # with the per-fit constants a regression fit passes
-            counts = args[0] if objective == "zinb_hessian" else args[1]
-            constants = (gammaln(counts + 1), True, np.unique(counts, return_inverse=True))
-            h_value, h_grad, hess = fun(theta, *args, *constants)
-        assert h_value == value and np.array_equal(h_grad, grad)
-        fd = _central_difference(fun, theta, args, step, part=1)
-        np.testing.assert_allclose(hess, fd, rtol=1e-5, atol=1e-6 + 1e-13 * size / step)
+    # the score rounds at about the size of the value's terms too
+    fd = _central_difference(fun, theta, args, step, part=1)
+    np.testing.assert_allclose(hess, fd, rtol=1e-5, atol=1e-6 + 1e-13 * size / step)
+    if objective.startswith("histogram"):
+        _kernel_hessian_matches_its_score(args[1], theta, args[3], step, atol=1e-6 + 1e-13 * size / step)
+    # the per-fit constants a fit passes leave every bit as it is:
+    # gammaln(y + 1), and for a regression the distinct counts
+    if objective != "logistic":
+        counts = args[0] if objective == "zinb" else args[1]
+        constants = (gammaln(counts + 1),)
+        if objective in ("zinb", "regression"):
+            constants += (np.unique(counts, return_inverse=True),)
+        c_value, c_grad, c_hess = fun(theta, *args, *constants)
+        assert c_value == value and np.array_equal(c_grad, grad) and np.array_equal(c_hess, hess)
 
 
 _extreme = st.one_of(st.sampled_from([-1e6, 0.0, 1e6]), st.floats(-1e6, 1e6))
@@ -932,7 +926,6 @@ def test_objectives_stay_finite_at_extreme_parameters(objective, theta, y, seed)
     counts = {"zinb": args[0], "regression": args[1]}.get(objective)
     extra = {} if counts is None else dict(distinct=np.unique(counts, return_inverse=True))
     with np.errstate(over="raise", divide="raise", invalid="raise"):
-        value, grad = fun(t, *args)
-        hess = fun(t, *args, hessian=True, **extra)[2]
+        value, grad, hess = fun(t, *args, **extra)
     assert np.isfinite(value) and np.all(np.isfinite(grad)) and grad.shape == t.shape
     assert np.all(np.isfinite(hess)) and hess.shape == (len(t), len(t))
