@@ -2,11 +2,13 @@
 
 Configs are flat JSON (scalars and arrays only). Every run writes a
 results directory containing deterministic CSV tables plus a manifest
-with the config hash and master seed; re-running an already completed
-config is a no-op unless forced.
+with the config hash, the digest of the library's sources and the master
+seed; re-running an already completed config on the same sources is a
+no-op unless forced.
 """
 
 import csv
+import functools
 import hashlib
 import itertools
 import json
@@ -15,6 +17,7 @@ import operator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
+from importlib import resources
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
@@ -22,6 +25,7 @@ import numpy as np
 from scipy.special import logit
 
 from . import __version__
+from .bridge_table import TABLE_FILE
 from .counts import Flavor
 from .evaluate import _MODEL_TAGS, EvalReport, kfold_cv, make_model, random_split_eval
 from .exceptions import ParseError
@@ -99,11 +103,13 @@ def _count_cell_error(value):
     return "non-integer count" if value != int(value) else None
 
 
-def _read_csv(path, cell_error):
-    """(column names, n x p float array) of a CSV table whose header row
-    names its columns. Blank rows are skipped; a ragged row, a non-numeric
-    cell or a number that ``cell_error`` names (it returns a description,
-    or None for a valid number) raises ParseError with its location."""
+def _read_csv(path, cell_error, columns=None):
+    """(column names, n x k float array) of the k columns of a CSV table
+    whose header row names its columns: every column, or the indices that
+    ``columns(names)`` returns; the cells of the other columns are not
+    read. Blank rows are skipped; a ragged row, a non-numeric cell or a
+    number that ``cell_error`` names (it returns a description, or None for
+    a valid number) raises ParseError with its location."""
     path = Path(path)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -112,6 +118,7 @@ def _read_csv(path, cell_error):
         except StopIteration:
             raise ParseError(f"{path}: file is empty") from None
         names = [h.strip() for h in header]
+        read = range(len(names)) if columns is None else columns(names)
         rows = []
         for row_num, row in enumerate(reader, start=2):
             if not row or all(not c.strip() for c in row):
@@ -119,19 +126,20 @@ def _read_csv(path, cell_error):
             if len(row) != len(names):
                 raise ParseError(f"{path}: row {row_num} has {len(row)} cells, expected {len(names)}")
             parsed = []
-            for col_num, cell in enumerate(row, start=1):
+            for col in read:
+                cell = row[col]
                 try:
                     value = float(cell)
                 except ValueError:
-                    raise ParseError(f"{path}: row {row_num}, column {col_num}: non-numeric cell {cell!r}") from None
+                    raise ParseError(f"{path}: row {row_num}, column {col + 1}: non-numeric cell {cell!r}") from None
                 error = cell_error(value)
                 if error is not None:
-                    raise ParseError(f"{path}: row {row_num}, column {col_num}: {error} {cell!r}")
+                    raise ParseError(f"{path}: row {row_num}, column {col + 1}: {error} {cell!r}")
                 parsed.append(value)
             rows.append(parsed)
     if not rows:
         raise ParseError(f"{path}: no data rows")
-    return names, np.asarray(rows, dtype=float)
+    return [names[col] for col in read], np.asarray(rows, dtype=float)
 
 
 def rescale_power(data: Dataset, exponent: float) -> Dataset:
@@ -200,13 +208,6 @@ class Experiment(Enum):
     REAL_DATA = "real-data"
 
 
-# Part of every config fingerprint. Raise it when an estimator gives other
-# numbers for an unchanged config, so that a completed results directory
-# written before is recomputed instead of reused. 1: fit_tlnpn takes most
-# roots from the packaged bridge table.
-ESTIMATOR_REVISION = 1
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment: a grid, a replication budget, and run options.
@@ -263,12 +264,11 @@ class ExperimentConfig:
         object.__setattr__(self, "grids", grid)  # coerced once, in cell order
 
     def canonical(self) -> dict:
-        """The fingerprinted payload: every field but the run-only ones,
-        plus the estimator revision."""
+        """The fingerprinted payload: every field but the run-only ones."""
         payload = asdict(self)
         for key in _RUN_ONLY:
             del payload[key]
-        payload.update(experiment=self.experiment.value, estimator_revision=ESTIMATOR_REVISION)
+        payload.update(experiment=self.experiment.value)
         return payload
 
     def fingerprint(self) -> str:
@@ -606,14 +606,29 @@ def _write_csv(path: Path, rows, fieldnames=None):
             writer.writerow(row)
 
 
+@functools.cache
+def _source_digest() -> str:
+    """SHA-256 over the name and bytes of each of the package's ``.py``
+    sources and of its bridge table, in name order: results written by other
+    code carry another digest. Read once per process, at the first
+    :func:`run_experiment`."""
+    digest = hashlib.sha256()
+    files = (f for f in resources.files(__package__).iterdir() if f.name.endswith(".py") or f.name == TABLE_FILE)
+    for source in sorted(files, key=lambda f: f.name):
+        data = source.read_bytes()
+        digest.update(f"{source.name}\0{len(data)}\0".encode() + data)
+    return digest.hexdigest()
+
+
 def run_experiment(config: ExperimentConfig) -> Path:
     """Execute the grid x replications and persist deterministic tables.
 
     Returns the results directory. Output files: one CSV per table kind,
     its rows in the cell order of ``_cells`` at any ``threads``, plus
-    manifest.json carrying the config hash, master seed, package version,
-    the names of the tables written, and any failed cells. A completed
-    manifest with the same hash short-circuits the run unless
+    manifest.json carrying the config hash, the source digest (see
+    :func:`_source_digest`), master seed, package version, the names of
+    the tables written, and any failed cells. A completed manifest with
+    the same hash and source digest short-circuits the run unless
     ``config.force``.
     """
     out = Path(config.out)
@@ -621,7 +636,8 @@ def run_experiment(config: ExperimentConfig) -> Path:
     if manifest_path.exists() and not config.force:
         with open(manifest_path) as fh:
             manifest = json.load(fh)
-        if manifest.get("config_hash") == config.fingerprint() and manifest.get("complete"):
+        same_code = manifest.get("source_digest") == _source_digest()
+        if manifest.get("config_hash") == config.fingerprint() and same_code and manifest.get("complete"):
             return out
     out.mkdir(parents=True, exist_ok=True)
 
@@ -654,6 +670,7 @@ def run_experiment(config: ExperimentConfig) -> Path:
     manifest = {
         "config": config.canonical(),
         "config_hash": config.fingerprint(),
+        "source_digest": _source_digest(),
         "seed": config.seed,
         "version": __version__,
         "tables": sorted(tables),

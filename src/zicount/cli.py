@@ -17,6 +17,7 @@ from .bench import (
     Experiment,
     _checked,
     _count,
+    _count_cell_error,
     _load_source,
     _read_csv,
     _write_csv,
@@ -63,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.set_defaults(handler=_cmd_experiment)
 
     fp = sub.add_parser("fit", help="fit one model to a count table")
-    fp.add_argument("--data", required=True, help="counts CSV (header + numeric rows)")
+    fp.add_argument("--data", required=True, help="CSV (header + rows) whose --column holds the counts")
     fp.add_argument("--model", choices=["zinb", "hnb", "nb"], required=True)
     fp.add_argument("--column", type=int, default=0, help="response column index")
     fp.add_argument("--covariates", default=None, help="optional CSV of real covariates (same row count)")
@@ -128,10 +129,13 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    data = load_counts_csv(args.data)
-    if not 0 <= args.column < data.p:
-        raise ValueError(f"--column {args.column} is outside [0, {data.p}) for {args.data}")
-    y = data.values[:, args.column].astype(np.int64)
+    def response(names):
+        if not 0 <= args.column < len(names):
+            raise ValueError(f"--column {args.column} is outside [0, {len(names)}) for {args.data}")
+        return [args.column]
+
+    # only the response column must hold counts
+    y = _read_csv(args.data, _count_cell_error, response)[1][:, 0].astype(np.int64)
     flavor = Flavor(args.model)
     if args.covariates is not None:
         cov = _read_csv(args.covariates, lambda v: None if np.isfinite(v) else "non-finite cell")[1]

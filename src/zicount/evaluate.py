@@ -18,8 +18,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.spatial.distance import cdist
 from scipy.special import expit
 
 from .copula import LatentCopulaModel, fit_tlnpn, sample_tlnpn
@@ -65,8 +63,12 @@ def wasserstein_pd(X, Y, order: int = 1) -> float:
 
     Minimizes the mean order-th power of Euclidean distances over row
     permutations (solved as a linear assignment problem) and takes the
-    1/order root.
+    1/order root. ``scipy.optimize`` and ``scipy.spatial`` are imported
+    here, so only a run that compares point clouds pays for them.
     """
+    from scipy.optimize import linear_sum_assignment
+    from scipy.spatial.distance import cdist
+
     _check_order(order)
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)

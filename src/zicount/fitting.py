@@ -7,15 +7,17 @@ indicator) and a zero-truncated NB part (positive counts). One damped Newton
 loop on analytic Hessians, :func:`_newton`, fits every model: the ZINB
 regression, the hurdle's zero-truncated NB part, every logistic model (the
 hurdle's zero part and the start of the ZINB zero part; there it is IRLS)
-and the intercept-only HNB and NB fits. The same Hessians give the standard
-errors.
+and the intercept-only HNB and NB fits. Each regression and intercept-only
+fit makes one :func:`minimize` call, the library's own entry point to that
+loop, so fitting loads no ``scipy.optimize``. The same Hessians give the
+standard errors.
 """
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import OptimizeResult, minimize
 from scipy.special import expit, gammaln, logit
 
 from .counts import Flavor, _check_counts, _log_nb_zero, _nb_logpmf, _nb_positive, _zero_share
@@ -287,31 +289,40 @@ def _nb_negll(theta, X, y, w, truncated, log_y_factorial=None, distinct=None):
     return -float(log_nb), grad, np.array([[-h_eta * in_eta, h_cross], [h_cross, -h_log_r * in_r]])
 
 
-def _minimize(fun, x0, args, bounds=None, **options):
-    """One ``scipy.optimize.minimize`` run of :func:`_newton`, as a custom
-    ``method=``, on the objective ``fun`` itself, which returns (value,
-    gradient, Hessian); ``bounds`` and ``options`` (``n_obs``, ``size``) go
-    to :func:`_newton`. Going through ``minimize`` (public API; about 20 us
-    a call) keeps one hookable call per fit, with its ``nfev``, ``nit`` and
-    ``callback``.
+class NewtonResult(NamedTuple):
+    """The end of one :func:`_newton` run: the point ``x``, the objective
+    ``fun`` there, the iterations ``nit`` and objective calls ``nfev`` it
+    took, and whether it met its tolerances (``success``)."""
 
-    Returns (x, negll, converged). Raises InitializationError when the
+    x: np.ndarray
+    fun: float
+    nit: int
+    nfev: int
+    success: bool
+
+
+def minimize(fun, x0, args=(), bounds=None, **options):
+    """One :func:`_newton` run on the objective ``fun``, which returns
+    (value, gradient, Hessian); ``bounds`` and ``options`` (``n_obs``,
+    ``size``, ``callback``) go to :func:`_newton`. Each regression and
+    intercept-only fit makes one such call.
+
+    Returns the :class:`NewtonResult`. Raises InitializationError when the
     objective is not finite at ``x0``, which :func:`_newton` checks on its
     own first evaluation, or at the end (the clips keep it finite on finite
     data).
     """
-    res = minimize(fun, x0, args=args, method=_newton, bounds=bounds, options=options)
+    res = _newton(fun, x0, args, bounds, **options)
     if not np.isfinite(res.fun):
         raise InitializationError("objective not finite at the optimizer's end point")
-    return res.x, float(res.fun), bool(res.success)
+    return res
 
 
-def _newton(fun, x0, args=(), bounds=None, n_obs=1, size=None, callback=None, **unused):
+def _newton(fun, x0, args=(), bounds=None, n_obs=1, size=None, callback=None):
     """Minimize ``fun(x, *args)``, which returns (value, gradient, Hessian),
     by damped Newton steps: Newton-Raphson on the observed information
     (Lawless 1987), which on a logistic objective is IRLS (McCullagh and
-    Nelder 1989). It has the signature of a ``scipy.optimize.minimize``
-    method.
+    Nelder 1989).
 
     Each step is :func:`_newton_step`, or with ``bounds`` (one (lo, hi)
     pair per coordinate) :func:`_step_in_box`'s, and is
@@ -324,8 +335,8 @@ def _newton(fun, x0, args=(), bounds=None, n_obs=1, size=None, callback=None, **
     the box is tried whatever its decrement, since it ends a walk along a
     ridge towards a bound.
 
-    Returns an OptimizeResult with ``nfev`` and ``nit``; ``callback``
-    receives each accepted iterate as ``intermediate_result``. ``success``
+    Returns a :class:`NewtonResult`; ``callback(x, value)`` receives each
+    accepted iterate and its objective value. ``success``
     is False when the budget ran out, or when no halving kept the objective
     from rising although the step promised more than the tolerance. Raises
     InitializationError when the objective is not finite at ``x0``.
@@ -361,10 +372,10 @@ def _newton(fun, x0, args=(), bounds=None, n_obs=1, size=None, callback=None, **
         x = trial_x
         value, grad, hess = trial
         if callback is not None:
-            callback(intermediate_result=OptimizeResult(x=x, fun=value))
+            callback(x, value)
     else:
         nit = _NEWTON_MAXITER
-    return OptimizeResult(x=x, fun=value, nit=nit, nfev=nfev, success=success)
+    return NewtonResult(x, value, nit, nfev, success)
 
 
 def _newton_step(hess, grad):
@@ -439,7 +450,7 @@ def _fit_logistic(b, Z):
     Returns (gamma, negll, converged); converged is False when the budget
     ran out or no halving of a step kept the objective from rising. Raises
     InitializationError when the objective is not finite at the start, as
-    :func:`_minimize` does.
+    :func:`minimize` does.
     """
     res = _newton(_logistic_negll, np.zeros(Z.shape[1]), (b, Z), n_obs=len(b))
     return res.x, res.fun, res.success
@@ -524,10 +535,11 @@ def fit_regression(y, X, Z=None, flavor: Flavor = Flavor.ZINB) -> RegressionFit:
         theta0 = np.concatenate([_init_beta(y, X), g0, [0.0]])
         yf = y.astype(float)
         args, options = _counts_constants(yf, q1 + q2 + 1)
-        x, _, ok = _minimize(_zinb_negll, theta0, (yf, np.asfortranarray(X), np.asfortranarray(Z), *args), **options)
+        res = minimize(_zinb_negll, theta0, args=(yf, np.asfortranarray(X), np.asfortranarray(Z), *args), **options)
+        x = res.x
         coef = RegressionCoefficients(beta=x[:q1], gamma=x[q1 : q1 + q2], log_r=_clip_log_r(x[-1]))
         # report the unclipped likelihood at the optimum
-        return _result(coef, zinb_loglik(y, X, Z, coef), flavor, ok, n)
+        return _result(coef, zinb_loglik(y, X, Z, coef), flavor, res.success, n)
     if flavor is Flavor.HNB:
         if not np.array_equal(Z, X, equal_nan=True):
             raise ValueError("the hurdle model uses one shared design; pass Z=None")
@@ -539,9 +551,9 @@ def fit_regression(y, X, Z=None, flavor: Flavor = Flavor.ZINB) -> RegressionFit:
         theta0 = np.append(_init_beta(y, X), 0.0)
         yp = y[pos].astype(float)
         args, options = _counts_constants(yp, q1 + 1)
-        x, _, ok = _minimize(_nb_negll, theta0, (np.asfortranarray(X[pos]), yp, 1.0, True, *args), **options)
-        coef = RegressionCoefficients(beta=x[:-1], gamma=g, log_r=_clip_log_r(x[-1]))
-        return _result(coef, hnb_loglik(y, X, coef), flavor, ok_g and ok, n)
+        res = minimize(_nb_negll, theta0, args=(np.asfortranarray(X[pos]), yp, 1.0, True, *args), **options)
+        coef = RegressionCoefficients(beta=res.x[:-1], gamma=g, log_r=_clip_log_r(res.x[-1]))
+        return _result(coef, hnb_loglik(y, X, coef), flavor, ok_g and res.success, n)
     raise ValueError("fit_regression supports ZINB and HNB; use fit_intercept_only for NB")
 
 
@@ -579,7 +591,8 @@ def fit_intercept_only(y, flavor: Flavor) -> RegressionFit:
     log_y_factorial = gammaln(values + 1)
     size = _rounding_size(n_fit, counts @ log_y_factorial)
     args = (None, values, counts, truncated, log_y_factorial)
-    x, negll, ok = _minimize(_nb_negll, theta0, args, bounds=_INTERCEPT_BOX, n_obs=n_fit, size=size)
+    res = minimize(_nb_negll, theta0, args=args, bounds=_INTERCEPT_BOX, n_obs=n_fit, size=size)
+    x, negll, ok = res.x, res.fun, res.success
     if flavor is Flavor.NB:
         coef = RegressionCoefficients(beta=x[:1], gamma=np.empty(0), log_r=_clip_log_r(x[-1]))
         return _result(coef, -negll, flavor, ok, n)

@@ -1,9 +1,13 @@
 import csv
 import dataclasses
-import hashlib
 import itertools
 import json
 import math
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -201,7 +205,7 @@ class TestExperimentConfig:
         }
         names = {f.name for f in dataclasses.fields(ExperimentConfig)}
         assert set(changes) == names - set(run_only) - {"experiment", "grids", "seed"}
-        assert set(base.canonical()) == names - set(run_only) | {"estimator_revision"}
+        assert set(base.canonical()) == names - set(run_only)
         moves = {"seed": 1, **{key: changes[key] for key in reads}}
         if moved_grid:
             moves["grids"] = dict(grids, **moved_grid)
@@ -364,22 +368,48 @@ class TestRunExperiment:
         run_experiment(forced)
         assert (out / "aic.csv").stat().st_mtime_ns != stamp
 
-    def test_results_of_an_earlier_estimator_revision_are_recomputed(self, tmp_path):
-        # a completed TLNPN directory written before the revision entered the
-        # fingerprint carries the hash of the same payload without it
+    def test_results_written_by_other_code_are_recomputed(self, tmp_path):
+        # a completed directory of the same config, written by another tree
+        # of the library (or before manifests carried a source digest)
         counts = tmp_path / "counts.csv"
         rows = np.random.default_rng(0).poisson(1.0, (40, 3))
         counts.write_text("a,b,c\n" + "\n".join(",".join(map(str, row)) for row in rows) + "\n")
         config = tiny_config(Experiment.REAL_DATA, tmp_path / "res", counts)
-        earlier = {k: v for k, v in config.canonical().items() if k != "estimator_revision"}
-        stale = hashlib.sha256(json.dumps(earlier, sort_keys=True).encode()).hexdigest()
         out = tmp_path / "res"
         out.mkdir()
-        (out / "manifest.json").write_text(json.dumps({"config_hash": stale, "complete": True}))
+        for other in ({"source_digest": "0" * 64}, {}):
+            manifest = {"config_hash": config.fingerprint(), "complete": True, **other}
+            (out / "manifest.json").write_text(json.dumps(manifest))
+            run_experiment(config)
+            tables = read_results(out)
+            assert tables["manifest"]["config_hash"] == config.fingerprint()
+            assert tables["manifest"]["source_digest"] == bench._source_digest() != other.get("source_digest")
+            assert {r["model"] for r in tables["distances"]} == {"hnb", "tlnpn"}
+        # the same tree reuses what it wrote
+        stamp = (out / "distances.csv").stat().st_mtime_ns
         run_experiment(config)
-        tables = read_results(out)
-        assert tables["manifest"]["config_hash"] == config.fingerprint() != stale
-        assert {r["model"] for r in tables["distances"]} == {"hnb", "tlnpn"}
+        assert (out / "distances.csv").stat().st_mtime_ns == stamp
+
+    def test_source_digest_follows_the_sources_and_the_bridge_table(self, tmp_path):
+        """A copy of the package carries this tree's digest, which no import
+        computes; appending to a module or to the bridge table changes it."""
+        shutil.copytree(Path(bench.__file__).parent, tmp_path / "zicount", ignore=shutil.ignore_patterns("__pycache__"))
+        code = """
+from pathlib import Path
+import zicount.bench as b
+assert b._source_digest.cache_info().currsize == 0
+digests = [b._source_digest()]
+for name in ("fitting.py", "bridge_tt_table.npy"):
+    with open(Path(b.__file__).parent / name, "ab") as fh:
+        fh.write(b"\\n")
+    digests.append(b._source_digest.__wrapped__())
+print(" ".join(digests))
+"""
+        env = {**os.environ, "PYTHONPATH": str(tmp_path)}
+        proc = subprocess.run([sys.executable, "-c", code], check=True, env=env, capture_output=True, text=True, timeout=60)
+        digests = proc.stdout.split()
+        assert digests[0] == bench._source_digest()
+        assert len(set(digests)) == 3
 
     def test_identical_config_gives_byte_identical_tables(self, tmp_path):
         a = run_experiment(deflation_config(tmp_path, out=str(tmp_path / "a")))

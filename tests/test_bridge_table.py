@@ -106,3 +106,34 @@ assert sum(pairs["_bridge_roots"]) > 0 and pairs["_invert_bridge_batch"] == [], 
 """
     src = Path(bridge_table.__file__).resolve().parents[1]
     subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+
+
+def test_scipy_optimize_and_spatial_load_with_the_first_point_cloud_distance():
+    """``import zicount``, a tiny setting-one run and the intercept-only
+    fits leave ``scipy.optimize``, ``scipy.spatial`` and ``scipy.stats``
+    unloaded: every fit runs the library's own Newton loop. The first
+    ``wasserstein_pd`` call loads the assignment solver and ``cdist``."""
+    code = """
+import sys, tempfile
+import numpy as np
+
+def loaded():
+    return [m for m in ("scipy.optimize", "scipy.spatial", "scipy.stats") if m in sys.modules]
+
+import zicount
+assert loaded() == [], ("import zicount", loaded())
+from zicount import Flavor, fit_intercept_only, wasserstein_pd
+from zicount.bench import Experiment, ExperimentConfig, run_experiment
+
+grids = {"zero_target": [0.4], "flavor": ["zinb", "hnb"]}
+with tempfile.TemporaryDirectory() as tmp:
+    run_experiment(ExperimentConfig(experiment=Experiment.SETTING_ONE, grids=grids, replications=2, n=200, seed=1, out=tmp))
+y = np.random.default_rng(0).poisson(2.0, 100)
+for flavor in Flavor:
+    fit_intercept_only(y, flavor)
+assert loaded() == [], ("setting one and the fits", loaded())
+wasserstein_pd(np.eye(3), np.eye(3)[::-1])
+assert loaded() == ["scipy.optimize", "scipy.spatial"], ("wasserstein_pd", loaded())
+"""
+    src = Path(bridge_table.__file__).resolve().parents[1]
+    subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)

@@ -7,7 +7,7 @@ import pytest
 from zicount import CorrelationSpec, CorrKind, Flavor, bench
 from zicount.cli import main
 from zicount.evaluate import wasserstein_pd
-from zicount.fitting import fit_regression
+from zicount.fitting import fit_intercept_only, fit_regression
 from zicount.exceptions import InvalidParameterError
 from zicount.synth import gen_setting_one, gen_setting_two, setting_one_config, setting_two_config
 
@@ -73,15 +73,30 @@ class TestFitCommand:
         y = np.array([float(row["y"]) for row in rows]).astype(np.int64)
         x = np.array([float(row["x"]) for row in rows])
         assert np.any(x != np.round(x)) and np.any(x < 0)
-        data = write_counts(tmp_path / "y.csv", y[:, None], ["y"])
         cov = write_counts(tmp_path / "x.csv", x[:, None], ["x"])
         capsys.readouterr()
-        assert main(["fit", "--data", str(data), "--model", "zinb", "--covariates", str(cov)]) == 0
+        # the simulated y,x table itself is the data: only its column 0 holds counts
+        assert main(["fit", "--data", str(sim), "--model", "zinb", "--covariates", str(cov)]) == 0
         payload = json.loads(capsys.readouterr().out)
         X = np.column_stack([np.ones(len(y)), x])
         fit = fit_regression(y, X, X, Flavor.ZINB)
         assert payload["converged"] is True and payload["n_params"] == 5
         assert payload["loglik"] == fit.loglik and payload["beta"] == fit.coefficients.beta.tolist()
+        assert main(["fit", "--data", str(sim), "--model", "hnb", "--column", "0"]) == 0
+        assert json.loads(capsys.readouterr().out)["loglik"] == fit_intercept_only(y, Flavor.HNB).loglik
+
+    @pytest.mark.parametrize(
+        "column, message",
+        [(0, "row 3, column 1: non-integer count '2.5'"), (2, "row 2, column 3: negative or non-finite cell '-1'")],
+    )
+    def test_bad_cell_of_the_response_column_is_an_error_line(self, tmp_path, capsys, column, message):
+        data = tmp_path / "data.csv"
+        data.write_text("y,x,z\n1,-0.5,-1\n2.5,0.25,3\n" + "4,1e9,2\n" * 10)
+        assert main(["fit", "--data", str(data), "--model", "nb", "--column", str(column)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert len(captured.err.splitlines()) == 1
 
     @pytest.mark.parametrize(
         "cells, message",

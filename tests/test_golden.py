@@ -88,11 +88,11 @@ GOLDEN_DIGESTS = {
 }
 
 CONFIG_FINGERPRINTS = {
-    "real_data_standin": "2dc28ffd6a6b45c2",
-    "setting_one": "033f16a7043a902a",
-    "setting_one_deflation": "871f1fa8c2b62673",
-    "setting_three_desk": "70c8f4211200cb0e",
-    "setting_two_desk": "8549e0df8e4b64fe",
+    "real_data_standin": "614a7cc80db54189",
+    "setting_one": "4fd2a140f26d4dc2",
+    "setting_one_deflation": "1f8fd5533086ff47",
+    "setting_three_desk": "b8d2da5d086739b1",
+    "setting_two_desk": "adaa30908d686215",
 }
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
