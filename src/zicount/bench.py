@@ -12,7 +12,6 @@ import functools
 import hashlib
 import itertools
 import json
-import math
 import operator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
@@ -93,23 +92,26 @@ def load_counts_csv(path) -> Dataset:
     Rejects negative, non-numeric, and non-integral cells with the exact
     (row, column) location; rows are numbered from 1 including the header.
     """
-    names, values = _read_csv(path, _count_cell_error)
+    names, values = _read_csv(path, _count_cell_errors)
     return Dataset(values=values, variable_names=names, provenance=(f"load({Path(path).name})",))
 
 
-def _count_cell_error(value):
-    if not math.isfinite(value) or value < 0:
-        return "negative or non-finite cell"
-    return "non-integer count" if value != int(value) else None
+def _count_cell_errors(values):
+    return (
+        ("negative or non-finite cell", ~np.isfinite(values) | (values < 0)),
+        ("non-integer count", values != np.floor(values)),
+    )
 
 
-def _read_csv(path, cell_error, columns=None):
+def _read_csv(path, cell_errors, columns=None):
     """(column names, n x k float array) of the k columns of a CSV table
     whose header row names its columns: every column, or the indices that
     ``columns(names)`` returns; the cells of the other columns are not
     read. Blank rows are skipped; a ragged row, a non-numeric cell or a
-    number that ``cell_error`` names (it returns a description, or None for
-    a valid number) raises ParseError with its location."""
+    number that ``cell_errors`` names raises ParseError with the location
+    of the first such cell in the file. ``cell_errors(values)`` checks a
+    whole array at once: it returns (description, mask) pairs, and a cell
+    takes the description of the first mask that holds there."""
     path = Path(path)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -119,27 +121,54 @@ def _read_csv(path, cell_error, columns=None):
             raise ParseError(f"{path}: file is empty") from None
         names = [h.strip() for h in header]
         read = range(len(names)) if columns is None else columns(names)
-        rows = []
+        rows, row_nums, failure, numbers_before = [], [], None, []
         for row_num, row in enumerate(reader, start=2):
             if not row or all(not c.strip() for c in row):
                 continue
             if len(row) != len(names):
-                raise ParseError(f"{path}: row {row_num} has {len(row)} cells, expected {len(names)}")
-            parsed = []
-            for col in read:
-                cell = row[col]
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise ParseError(f"{path}: row {row_num}, column {col + 1}: non-numeric cell {cell!r}") from None
-                error = cell_error(value)
-                if error is not None:
-                    raise ParseError(f"{path}: row {row_num}, column {col + 1}: {error} {cell!r}")
-                parsed.append(value)
-            rows.append(parsed)
+                failure = f"row {row_num} has {len(row)} cells, expected {len(names)}"
+                break
+            cells = row if columns is None else [row[col] for col in read]
+            try:
+                rows.append(list(map(float, cells)))
+            except ValueError:
+                at = _first_non_numeric(cells)
+                failure = f"row {row_num}, column {read[at] + 1}: non-numeric cell {cells[at]!r}"
+                numbers_before = list(map(float, cells[:at]))
+                break
+            row_nums.append(row_num)
+    values = np.array(rows, dtype=float).reshape(len(rows), len(read))
+    # a bad number above the cell that stopped the reading comes first in the file
+    _check_cells(path, values, row_nums, read, cell_errors)
+    if failure is not None:
+        _check_cells(path, np.array([numbers_before]), [row_num], read, cell_errors)
+        raise ParseError(f"{path}: {failure}")
     if not rows:
         raise ParseError(f"{path}: no data rows")
-    return [names[col] for col in read], np.asarray(rows, dtype=float)
+    return [names[col] for col in read], values
+
+
+def _first_non_numeric(cells):
+    for at, cell in enumerate(cells):
+        try:
+            float(cell)
+        except ValueError:
+            return at
+
+
+def _check_cells(path, values, row_nums, columns, cell_errors):
+    """Raise ParseError naming the first cell, in row-major order, of
+    ``values`` (rows ``row_nums`` and columns ``columns`` of the file) that
+    ``cell_errors`` rejects. Only that cell's text is read back."""
+    errors = cell_errors(values)
+    bad = functools.reduce(operator.or_, (mask for _, mask in errors))
+    if bad.any():
+        at, col = divmod(int(np.argmax(bad)), values.shape[1])
+        error = next(description for description, mask in errors if mask[at, col])
+        row_num, col = row_nums[at], columns[col]
+        with open(path, newline="") as fh:
+            cell = next(itertools.islice(csv.reader(fh), row_num - 1, None))[col]
+        raise ParseError(f"{path}: row {row_num}, column {col + 1}: {error} {cell!r}")
 
 
 def rescale_power(data: Dataset, exponent: float) -> Dataset:

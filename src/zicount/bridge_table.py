@@ -38,7 +38,7 @@ DELTA_NODES = DELTA_STEP * np.arange(-16, 17)
 _THETA_STEP = np.pi / 32
 _SIGMA_EDGE = 0.9999  # the clamp bracket of the inversion
 SIGMA_NODES = _SIGMA_EDGE * np.sin(_THETA_STEP * np.arange(-16, 17))
-_LOOKUP_CHUNK = 256  # pairs per block of seed_roots
+_LOOKUP_CHUNK = 1024  # pairs per block of seed_roots
 # The largest sigma that a fit takes from the table. Closer to +1 the bridge
 # bends too sharply in the levels for a bicubic on this grid: above it the
 # table's tau was off by up to 3.5e-3, below it by at most 7e-4.
@@ -91,9 +91,13 @@ def seed_roots(tau, dj, dk):
     from the table.
 
     The sigma line of each pair is interpolated cubically in (dj, dk),
-    each clamped to the grid, and inverted by :func:`_invert_lines`.
-    Pairs go in blocks of ``_LOOKUP_CHUNK``, which bounds the gathered
-    (block, 4, 4, sigma) patch of table values to about 1 MB.
+    each clamped to the grid, and inverted by :func:`_invert_lines`. The
+    interpolation adds the 16 weighted table lines around the pair one at
+    a time, j's node outer and k's inner, each as (wj * wk) * line: that is
+    the order and the rounding of ``np.einsum("pa,pb,pabs->ps")`` over the
+    (pairs, 4, 4, sigma) patch, so the lines and the roots are einsum's bit
+    for bit without gathering the patch. Pairs go in blocks of
+    ``_LOOKUP_CHUNK``, each holding two (block, sigma) arrays, about 0.5 MB.
     Returns ``(sigma0, slope, seeded)``; ``seeded`` is False where no
     root is given.
     """
@@ -108,11 +112,18 @@ def seed_roots(tau, dj, dk):
 
 def _lines(dj, dk):
     """The table's sigma line at each pair's (dj, dk): bicubic in the two
-    levels, each clamped to the grid."""
+    levels, each clamped to the grid, summed in einsum's order (see
+    :func:`seed_roots`)."""
     first_j, wj = _cubic_stencil((dj - DELTA_NODES[0]) / DELTA_STEP, DELTA_NODES.size)
     first_k, wk = _cubic_stencil((dk - DELTA_NODES[0]) / DELTA_STEP, DELTA_NODES.size)
-    patch = load_table()[(first_j[:, None] + np.arange(4))[:, :, None], (first_k[:, None] + np.arange(4))[:, None, :]]
-    return np.einsum("pa,pb,pabs->ps", wj, wk, patch)
+    table = load_table().reshape(-1, SIGMA_NODES.size)  # row j * 33 + k is the line at (j, k)
+    lines = np.zeros((dj.shape[0], SIGMA_NODES.size))
+    line = np.empty_like(lines)
+    for a in range(4):
+        for b in range(4):
+            table.take((first_j + a) * DELTA_NODES.size + first_k + b, axis=0, out=line)
+            lines += np.multiply((wj[:, a] * wk[:, b])[:, None], line, out=line)
+    return lines
 
 
 def _invert_lines(lines, tau):

@@ -17,7 +17,7 @@ from .bench import (
     Experiment,
     _checked,
     _count,
-    _count_cell_error,
+    _count_cell_errors,
     _load_source,
     _read_csv,
     _write_csv,
@@ -135,10 +135,10 @@ def _cmd_fit(args) -> int:
         return [args.column]
 
     # only the response column must hold counts
-    y = _read_csv(args.data, _count_cell_error, response)[1][:, 0].astype(np.int64)
+    y = _read_csv(args.data, _count_cell_errors, response)[1][:, 0].astype(np.int64)
     flavor = Flavor(args.model)
     if args.covariates is not None:
-        cov = _read_csv(args.covariates, lambda v: None if np.isfinite(v) else "non-finite cell")[1]
+        cov = _read_csv(args.covariates, lambda v: (("non-finite cell", ~np.isfinite(v)),))[1]
         if len(cov) != len(y):
             raise ValueError(f"--covariates {args.covariates} has {len(cov)} rows, --data has {len(y)}")
         X = np.column_stack([np.ones(len(y)), cov])

@@ -33,6 +33,7 @@ from .exceptions import (
     ConstantColumnError,
     DegenerateDataError,
     InvalidCorrelationError,
+    NonFiniteDataError,
 )
 
 __all__ = [
@@ -54,7 +55,7 @@ _TINY = 1e-300
 _UEPS = 1e-16
 _ROOT_TOL = 1e-6  # final bracket width of every batched bridge root
 _PAIR_CHUNK = 32  # pairs per block of the batched bridge; bounds its (block, n_points) arrays
-_KENDALL_CHUNK = 1 << 20  # sign entries per row block of kendall_tau_matrix
+_KENDALL_CHUNK = 1 << 19  # float32 signs per row block of kendall_tau_matrix (2 MB)
 
 
 @dataclass(frozen=True)
@@ -82,7 +83,20 @@ def kendall_tau_matrix(data) -> KendallMatrix:
     """Pairwise-definition Kendall's tau matrix of an n x p data matrix.
 
     tau_jk = 2/(n(n-1)) * sum_{i<i'} sign(Y_ij - Y_i'j) sign(Y_ik - Y_i'k);
-    tied pairs contribute zero.
+    tied pairs contribute zero. Raises ``NonFiniteDataError`` for a NaN or
+    infinite value and ``ConstantColumnError`` for a constant column.
+
+    The signs are those of the differences of each column's dense ranks,
+    whole numbers below n, so float32 holds them exactly (n < 2**24) and
+    clipping a difference to [-1, 1] gives its sign. Each block of rows
+    [s, e) is compared with the rows at or after s only: its pairs with the
+    rows after e count once and its pairs within the block twice, so twice
+    the first sum plus the second is its share of the sum over all ordered
+    pairs (i, i'). The sign products are summed in float32 matrix products
+    whose every partial sum is a whole number below 2**24 (a block holds at
+    most ``_KENDALL_CHUNK`` signs, or one row against n), so each block sum
+    is exact, and their int64 total and tau do not depend on the block size
+    or on the summation order.
     """
     Y = np.asarray(data, dtype=float)
     if Y.ndim != 2:
@@ -90,21 +104,40 @@ def kendall_tau_matrix(data) -> KendallMatrix:
     n, p = Y.shape
     if n < 2:
         raise ValueError("need at least 2 observations")
-    for j in range(p):
-        if np.all(Y[:, j] == Y[0, j]):
-            raise ConstantColumnError(f"column {j} is constant; tau is undefined")
-    # sign products summed over all ordered pairs (i, i'), one block of rows
-    # i at a time, so the sign array holds at most _KENDALL_CHUNK entries (or
-    # one row); the float64 block sums are exact integers, totalled in int64
+    finite = np.isfinite(Y).all(axis=0)
+    if not finite.all():
+        raise NonFiniteDataError(f"column {np.argmin(finite)} holds a NaN or infinite value; tau is undefined")
+    ranks = _dense_ranks(Y)
+    constant = ranks.max(axis=0) == 0.0
+    if constant.any():
+        raise ConstantColumnError(f"column {np.argmax(constant)} is constant; tau is undefined")
     rows = max(1, _KENDALL_CHUNK // (n * p))
+    signs = np.empty(min(rows, n) * n * p, dtype=np.float32)
     total = np.zeros((p, p), dtype=np.int64)
     for start in range(0, n, rows):
-        S = Y[start : start + rows, None, :] - Y[None, :, :]
-        S = np.sign(S, out=S).reshape(-1, p)
-        total += (S.T @ S).astype(np.int64)
+        stop = min(start + rows, n)
+        block = signs[: (n - start) * (stop - start) * p].reshape(n - start, stop - start, p)
+        np.subtract(ranks[start:, None, :], ranks[None, start:stop, :], out=block)
+        np.clip(block, -1.0, 1.0, out=block)
+        within = block[: stop - start].reshape(-1, p)
+        after = block[stop - start :].reshape(-1, p)
+        total += 2 * (after.T @ after).astype(np.int64) + (within.T @ within).astype(np.int64)
     tau = total / (n * (n - 1))
     np.fill_diagonal(tau, 1.0)
     return KendallMatrix(tau=tau)
+
+
+def _dense_ranks(Y) -> np.ndarray:
+    """Dense ranks 0, 1, ... of each column of a finite matrix, as float32
+    (exact below 2**24): equal values share a rank, and a rank counts the
+    distinct smaller values."""
+    order = np.argsort(Y, axis=0)
+    ordered = np.take_along_axis(Y, order, axis=0)
+    steps = np.zeros(Y.shape, dtype=np.float32)
+    np.not_equal(ordered[1:], ordered[:-1], out=steps[1:])
+    ranks = np.empty_like(steps)
+    np.put_along_axis(ranks, order, np.cumsum(steps, axis=0, out=steps), axis=0)
+    return ranks
 
 
 def zero_truncation_levels(data) -> np.ndarray:

@@ -37,6 +37,10 @@ class ConstantColumnError(ZicountError, ValueError):
     """Rank statistics are undefined for a column with a single repeated value."""
 
 
+class NonFiniteDataError(ZicountError, ValueError):
+    """Data hold a NaN or infinite value where a statistic needs finite numbers."""
+
+
 class InvalidCorrelationError(ZicountError, ValueError):
     """A matrix that must be a symmetric positive-definite correlation is not."""
 

@@ -67,6 +67,31 @@ class TestLoadCountsCsv:
         with pytest.raises(ParseError, match="non-integer"):
             load_counts_csv(path)
 
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("0,1,2\n3,x,5\n", "row 3, column 2: non-numeric cell 'x'"),
+            ("0,1,2\n3,4,-5\n", "row 3, column 3: negative or non-finite cell '-5'"),
+            ("0,1,2\n3, 4.5,5\n", "row 3, column 2: non-integer count ' 4.5'"),
+            ("0,nan,2\n", "row 2, column 2: negative or non-finite cell 'nan'"),
+            ("0,1,2\n-inf,4,5\n", "row 3, column 1: negative or non-finite cell '-inf'"),
+            ("0,1,2\n3,4\n", "row 3 has 2 cells, expected 3"),
+            ("0,1,2\n\n,,\n3,4,5.5\n", "row 5, column 3: non-integer count '5.5'"),
+            # the first bad cell in the file is named, whatever its kind
+            ("0,1.5,-2\n", "row 2, column 2: non-integer count '1.5'"),
+            ("0,-1,2\n3,4\n", "row 2, column 2: negative or non-finite cell '-1'"),
+            ("0,-1,x\n", "row 2, column 2: negative or non-finite cell '-1'"),
+            ("0,1,x\n3,4,-5\n", "row 2, column 3: non-numeric cell 'x'"),
+        ],
+        ids=["non-numeric", "negative", "non-integer", "nan", "inf", "ragged", "after-blank-rows", "first-of-a-row", "before-a-ragged-row", "before-a-non-numeric-cell", "non-numeric-first"],
+    )
+    def test_first_bad_cell_is_named(self, tmp_path, body, message):
+        path = tmp_path / "t.csv"
+        path.write_text("a,b,c\n" + body)
+        with pytest.raises(ParseError) as caught:
+            load_counts_csv(path)
+        assert str(caught.value) == f"{path}: {message}"
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("")

@@ -5,9 +5,12 @@ import sys
 from pathlib import Path
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import zicount.copula as copula
-from zicount import bridge_table
+from zicount import bridge_table, zero_truncation_levels
+from zicount.bench import make_qmp_standin
 from zicount.bridge_table import DELTA_NODES, SIGMA_NODES, TABLE_SHAPE, load_table, tabulate
 
 TABLE_SHA256 = "456490b04b4d790b30b91b5654c969b3a96d65a640513785010631b5bd7cc3ce"
@@ -58,6 +61,35 @@ def test_file_is_unedited():
     with the test above, an edited node or a stale table fails."""
     data = (Path(bridge_table.__file__).parent / bridge_table.TABLE_FILE).read_bytes()
     assert hashlib.sha256(data).hexdigest() == TABLE_SHA256
+
+
+def einsum_lines(dj, dk):
+    """The table's sigma lines as the library read them before it took one
+    table line at a time: the (pairs, 4, 4, sigma) patch around each pair,
+    contracted with both stencils' weights by one einsum."""
+    first_j, wj = bridge_table._cubic_stencil((dj - DELTA_NODES[0]) / bridge_table.DELTA_STEP, DELTA_NODES.size)
+    first_k, wk = bridge_table._cubic_stencil((dk - DELTA_NODES[0]) / bridge_table.DELTA_STEP, DELTA_NODES.size)
+    patch = load_table()[(first_j[:, None] + np.arange(4))[:, :, None], (first_k[:, None] + np.arange(4))[:, None, :]]
+    return np.einsum("pa,pb,pabs->ps", wj, wk, patch)
+
+
+# levels anywhere (clamped to the grid beyond +-4), exactly on a node, or at an edge
+LEVELS = st.floats(-6.0, 6.0) | st.sampled_from(list(DELTA_NODES)) | st.sampled_from([-4.0, 4.0])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(LEVELS, LEVELS), min_size=1, max_size=40))
+def test_lines_are_the_einsum_reference_bit_for_bit(pairs):
+    dj, dk = (np.array(v) for v in zip(*pairs))
+    assert np.array_equal(bridge_table._lines(dj, dk), einsum_lines(dj, dk))
+
+
+def test_standin_lines_are_the_einsum_reference_bit_for_bit():
+    data = make_qmp_standin().values
+    delta = zero_truncation_levels(data)
+    ju, ku = np.triu_indices(data.shape[1], k=1)
+    dj, dk = delta[ju], delta[ku]
+    assert np.array_equal(bridge_table._lines(dj, dk), einsum_lines(dj, dk))
 
 
 def test_loaded_on_first_use_not_at_import():

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr, ndtri
 from scipy.stats import qmc, spearmanr
@@ -25,6 +25,7 @@ from zicount.exceptions import (
     ClampedCorrelationWarning,
     ConstantColumnError,
     InvalidCorrelationError,
+    NonFiniteDataError,
 )
 from zicount.synth import ar_correlation, CorrelationSpec, CorrKind
 
@@ -160,6 +161,69 @@ class TestKendallTauMatrix:
         y[[0, 1]] = y[[1, 0]]
         tau = kendall_tau_matrix(np.column_stack([x, y])).tau
         assert tau[0, 1] == (n * (n - 1) - 4) / (n * (n - 1))
+
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(2, 50),
+        p=st.integers(1, 4),
+        levels=st.integers(2, 5),
+        block=st.integers(1, 9),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=2, p=3, levels=2, block=1, seed=0)
+    @example(n=41, p=3, levels=2, block=7, seed=1)  # ends in a partial block
+    def test_bit_identical_to_the_sign_block_reference(self, n, p, levels, block, seed):
+        # heavy ties: at most `levels` values per column, and the first row
+        # above all of them so no column is constant
+        Y = np.random.default_rng(seed).integers(0, levels, size=(n, p)).astype(float)
+        Y[0] = levels
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(copula, "_KENDALL_CHUNK", block * n * p)
+            tau = kendall_tau_matrix(Y).tau
+        assert np.array_equal(tau, sign_block_tau(Y))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_names_its_column(self, bad):
+        Y = np.random.default_rng(2).poisson(2.0, size=(20, 4)).astype(float)
+        Y[7, 2] = bad
+        with pytest.raises(NonFiniteDataError, match=r"^column 2 "):
+            kendall_tau_matrix(Y)
+        with pytest.raises(NonFiniteDataError, match=r"^column 2 "):
+            fit_tlnpn(Y)
+
+    @pytest.mark.parametrize("shape", [(135, 101), (960, 5)], ids=["standin", "960x5"])
+    def test_memory_is_bounded(self, shape):
+        # the signs of one block of rows against the rows after it: today's
+        # float64 blocks of every ordered pair took 14-16 MB on these tables
+        if shape == (135, 101):
+            Y = make_qmp_standin().values
+        else:
+            Y = np.random.default_rng(6).negative_binomial(2, 0.3, size=shape).astype(float)
+        tracemalloc.start()
+        try:
+            tau = kendall_tau_matrix(Y).tau
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        assert np.array_equal(tau, sign_block_tau(Y))
+
+
+def sign_block_tau(Y, chunk=1 << 20):
+    """Kendall's tau as the library computed it before it ranked: float64
+    signs of the differences of every ordered pair (i, i'), one block of
+    rows i at a time, the block sums totalled in int64."""
+    n, p = Y.shape
+    rows = max(1, chunk // (n * p))
+    total = np.zeros((p, p), dtype=np.int64)
+    for start in range(0, n, rows):
+        S = Y[start : start + rows, None, :] - Y[None, :, :]
+        S = np.sign(S, out=S).reshape(-1, p)
+        total += (S.T @ S).astype(np.int64)
+    tau = total / (n * (n - 1))
+    np.fill_diagonal(tau, 1.0)
+    return tau
 
 
 def naive_tau(Y):
@@ -674,8 +738,7 @@ class TestFitTlnpn:
         assert exact_pairs().shape == (0, 3)
 
     def test_table_lookup_memory_is_bounded(self):
-        # the stand-in's 5050 pairs; looked up in one block, the gathered
-        # (pairs, 4, 4, 33) patch of table values alone takes 21 MB
+        # the stand-in's 5050 pairs, looked up in blocks of _LOOKUP_CHUNK
         data = make_qmp_standin().values
         tau, delta = kendall_tau_matrix(data).tau, zero_truncation_levels(data)
         ju, ku = np.triu_indices(data.shape[1], k=1)
