@@ -4,117 +4,19 @@ Three model families are covered: zero-inflated negative binomial,
 hurdle negative binomial, and the truncated latent Gaussian copula.
 Model comparison runs on AIC (univariate regressions) and on exact
 sample Wasserstein distances under cross-validation (multivariate).
+
+The package exports the public names of its six modules below, each
+listed once, in that module's ``__all__``.
 """
 
 __version__ = "0.1.0"
 
-from .counts import CountParams, Flavor, hnb_pmf, nb_log_pmf, nb_pmf, sample_count, zinb_pmf
-from .fitting import (
-    RegressionCoefficients,
-    RegressionFit,
-    fit_intercept_only,
-    fit_regression,
-    hnb_loglik,
-    standard_errors,
-    zinb_loglik,
-)
-from .copula import (
-    KendallMatrix,
-    LatentCopulaModel,
-    bridge_tt,
-    fit_tlnpn,
-    invert_bridge,
-    kendall_tau_matrix,
-    nearest_correlation,
-    sample_mvn,
-    sample_tlnpn,
-    zero_truncation_levels,
-)
-from .synth import (
-    CorrKind,
-    CorrelationSpec,
-    Setting,
-    SettingConfig,
-    ar_correlation,
-    gd_covariance,
-    gen_setting_one,
-    gen_setting_three,
-    gen_setting_two,
-    random_orthogonal,
-)
-from .evaluate import (
-    EvalRecord,
-    EvalReport,
-    HurdleModel,
-    TlnpnModel,
-    amc,
-    kfold_cv,
-    random_split_eval,
-    wasserstein_1d,
-    wasserstein_pd,
-)
-from .bench import (
-    Dataset,
-    Experiment,
-    ExperimentConfig,
-    emit_report,
-    load_counts_csv,
-    make_qmp_standin,
-    rescale_power,
-    run_experiment,
-)
+from . import bench, copula, counts, evaluate, fitting, synth
+from .bench import *
+from .copula import *
+from .counts import *
+from .evaluate import *
+from .fitting import *
+from .synth import *
 
-__all__ = [
-    "__version__",
-    "CountParams",
-    "Flavor",
-    "nb_log_pmf",
-    "nb_pmf",
-    "zinb_pmf",
-    "hnb_pmf",
-    "sample_count",
-    "RegressionCoefficients",
-    "RegressionFit",
-    "zinb_loglik",
-    "hnb_loglik",
-    "fit_regression",
-    "fit_intercept_only",
-    "standard_errors",
-    "KendallMatrix",
-    "LatentCopulaModel",
-    "kendall_tau_matrix",
-    "zero_truncation_levels",
-    "bridge_tt",
-    "invert_bridge",
-    "fit_tlnpn",
-    "sample_tlnpn",
-    "nearest_correlation",
-    "CorrKind",
-    "CorrelationSpec",
-    "Setting",
-    "SettingConfig",
-    "ar_correlation",
-    "gd_covariance",
-    "random_orthogonal",
-    "sample_mvn",
-    "gen_setting_one",
-    "gen_setting_two",
-    "gen_setting_three",
-    "EvalRecord",
-    "EvalReport",
-    "HurdleModel",
-    "TlnpnModel",
-    "wasserstein_1d",
-    "wasserstein_pd",
-    "amc",
-    "kfold_cv",
-    "random_split_eval",
-    "Dataset",
-    "Experiment",
-    "ExperimentConfig",
-    "load_counts_csv",
-    "rescale_power",
-    "make_qmp_standin",
-    "run_experiment",
-    "emit_report",
-]
+__all__ = ["__version__"] + [name for module in (counts, fitting, copula, synth, evaluate, bench) for name in module.__all__]

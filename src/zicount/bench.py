@@ -25,11 +25,13 @@ from scipy.special import logit
 
 from . import __version__
 from .bridge_table import TABLE_FILE
-from .counts import Flavor
-from .evaluate import _MODEL_TAGS, EvalReport, kfold_cv, make_model, random_split_eval
+from .copula import _QMC_POINTS
+from .counts import Flavor, _check_counts, _count_errors
+from .evaluate import _DEFAULT_MODELS, _MODEL_TAGS, EvalReport, kfold_cv, make_model, random_split_eval
 from .exceptions import ParseError
 from .fitting import fit_regression
 from .synth import (
+    _TRANSFORMS,
     LATENT_DIM,
     CorrKind,
     CorrelationSpec,
@@ -69,8 +71,7 @@ class Dataset:
         v = np.asarray(self.values)
         if v.ndim != 2:
             raise ValueError("values must be 2-d")
-        if not np.all(np.isfinite(v)) or np.any(v < 0):
-            raise ValueError("count values must be finite and nonnegative")
+        _check_counts(v)
         if len(self.variable_names) != v.shape[1]:
             raise ValueError("one name per column required")
         object.__setattr__(self, "values", v)
@@ -92,15 +93,8 @@ def load_counts_csv(path) -> Dataset:
     Rejects negative, non-numeric, and non-integral cells with the exact
     (row, column) location; rows are numbered from 1 including the header.
     """
-    names, values = _read_csv(path, _count_cell_errors)
+    names, values = _read_csv(path, _count_errors)
     return Dataset(values=values, variable_names=names, provenance=(f"load({Path(path).name})",))
-
-
-def _count_cell_errors(values):
-    return (
-        ("negative or non-finite cell", ~np.isfinite(values) | (values < 0)),
-        ("non-integer count", values != np.floor(values)),
-    )
 
 
 def _read_csv(path, cell_errors, columns=None):
@@ -255,11 +249,11 @@ class ExperimentConfig:
     out: str = "results"
     order: int = 1
     threads: int = 1
-    models: tuple = ("hnb", "tlnpn")
+    models: tuple = _DEFAULT_MODELS
     dataset: Optional[str] = None
     rescale_exponent: Optional[float] = None
     n: Optional[int] = None
-    qmc_points: int = 4096
+    qmc_points: int = _QMC_POINTS
     collect_extras: bool = False
     force: bool = False
 
@@ -591,7 +585,7 @@ _SPECS = {
     ),
     Experiment.SETTING_THREE: _Spec(
         _run_setting_three_cell,
-        (_CORR, _RHO, _ZERO_TARGET, ("transform", str, lambda v: v in ("none", "sqrt"))),
+        (_CORR, _RHO, _ZERO_TARGET, ("transform", str, lambda v: v in _TRANSFORMS)),
         context=_source_values,
         keys=_SIMULATED + _CV + _SOURCE,
     ),

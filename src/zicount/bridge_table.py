@@ -36,7 +36,7 @@ POINTS = 16384
 DELTA_STEP = 0.25
 DELTA_NODES = DELTA_STEP * np.arange(-16, 17)
 _THETA_STEP = np.pi / 32
-_SIGMA_EDGE = 0.9999  # the clamp bracket of the inversion
+_SIGMA_EDGE = 0.9999  # the table's sigma range, and the root finder's clamp (copula._SIGMA_BRACKET)
 SIGMA_NODES = _SIGMA_EDGE * np.sin(_THETA_STEP * np.arange(-16, 17))
 _LOOKUP_CHUNK = 1024  # pairs per block of seed_roots
 # The largest sigma that a fit takes from the table. Closer to +1 the bridge

@@ -17,7 +17,6 @@ from .bench import (
     Experiment,
     _checked,
     _count,
-    _count_cell_errors,
     _load_source,
     _read_csv,
     _write_csv,
@@ -27,12 +26,13 @@ from .bench import (
     make_qmp_standin,
     run_experiment,
 )
-from .counts import Flavor
+from .counts import Flavor, _count_errors
 from .evaluate import wasserstein_pd
 from .exceptions import ZicountError
 from .fitting import fit_intercept_only, fit_regression
 from .synth import (
     _READS,
+    _TRANSFORMS,
     LATENT_DIM,
     CorrKind,
     CorrelationSpec,
@@ -135,7 +135,7 @@ def _cmd_fit(args) -> int:
         return [args.column]
 
     # only the response column must hold counts
-    y = _read_csv(args.data, _count_cell_errors, response)[1][:, 0].astype(np.int64)
+    y = _read_csv(args.data, _count_errors, response)[1][:, 0].astype(np.int64)
     flavor = Flavor(args.model)
     if args.covariates is not None:
         cov = _read_csv(args.covariates, lambda v: (("non-finite cell", ~np.isfinite(v)),))[1]
@@ -177,7 +177,7 @@ _PARAMETER_CHECKS = {
     "corr": (lambda v: CorrKind(str(v).upper()), lambda v: True),
     "orthogonal_seed": (_count, lambda v: v >= 0),
     "zero_target": (float, lambda v: 0.0 < v < 1.0),
-    "transform": (str, lambda v: v in ("none", "sqrt")),
+    "transform": (str, lambda v: v in _TRANSFORMS),
     "dataset": (lambda v: v, lambda v: isinstance(v, str) and v != ""),
     "rescale_exponent": (float, lambda v: 0.0 < v <= 1.0),
 }

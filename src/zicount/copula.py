@@ -50,7 +50,9 @@ __all__ = [
 ]
 
 _QMC_SEED = 202406
-_SIGMA_BRACKET = 0.9999
+_SIGMA_BRACKET = bridge_table._SIGMA_EDGE
+# the default Sobol stream of the bridge roots that the table does not give
+_QMC_POINTS = 4096
 _TINY = 1e-300
 _UEPS = 1e-16
 _ROOT_TOL = 1e-6  # final bracket width of every batched bridge root
@@ -101,12 +103,8 @@ def kendall_tau_matrix(data) -> KendallMatrix:
     Y = np.asarray(data, dtype=float)
     if Y.ndim != 2:
         raise ValueError("data must be 2-d")
+    _check_columns(Y, "tau")
     n, p = Y.shape
-    if n < 2:
-        raise ValueError("need at least 2 observations")
-    finite = np.isfinite(Y).all(axis=0)
-    if not finite.all():
-        raise NonFiniteDataError(f"column {np.argmin(finite)} holds a NaN or infinite value; tau is undefined")
     ranks = _dense_ranks(Y)
     constant = ranks.max(axis=0) == 0.0
     if constant.any():
@@ -127,6 +125,17 @@ def kendall_tau_matrix(data) -> KendallMatrix:
     return KendallMatrix(tau=tau)
 
 
+def _check_columns(Y, statistic: str) -> None:
+    """Raise ValueError when ``Y`` has fewer than 2 rows, and
+    NonFiniteDataError naming the first column that holds a NaN or an
+    infinite value, whose ``statistic`` is undefined."""
+    if Y.shape[0] < 2:
+        raise ValueError("need at least 2 observations")
+    finite = np.isfinite(Y).all(axis=0)
+    if not finite.all():
+        raise NonFiniteDataError(f"column {np.argmin(finite)} holds a NaN or infinite value; {statistic} is undefined")
+
+
 def _dense_ranks(Y) -> np.ndarray:
     """Dense ranks 0, 1, ... of each column of a finite matrix, as float32
     (exact below 2**24): equal values share a rank, and a rank counts the
@@ -145,12 +154,12 @@ def zero_truncation_levels(data) -> np.ndarray:
 
     The zero fraction is clamped to [1/(4n), 1 - 1/(4n)] so columns with
     no zeros (or only zeros) still map to finite Gaussian quantiles.
+    Raises ``NonFiniteDataError`` for a NaN or infinite value, as
+    :func:`kendall_tau_matrix` does.
     """
     Y = np.asarray(data, dtype=float)
-    n = Y.shape[0]
-    if n < 2:
-        raise ValueError("need at least 2 observations")
-    return ndtri(_zero_share((Y == 0).sum(axis=0), n))
+    _check_columns(Y, "the truncation level")
+    return ndtri(_zero_share((Y == 0).sum(axis=0), Y.shape[0]))
 
 
 def bridge_tt(sigma_jk: float, delta_j: float, delta_k: float) -> float:
@@ -418,7 +427,7 @@ def nearest_correlation(m, eig_floor: float = 1e-8) -> np.ndarray:
     return out
 
 
-def fit_tlnpn(data, *, qmc_points: int = 4096) -> LatentCopulaModel:
+def fit_tlnpn(data, *, qmc_points: int = _QMC_POINTS) -> LatentCopulaModel:
     """Fit the truncated latent Gaussian copula to an n x p count matrix.
 
     Pairwise bridge inversion of the Kendall's tau matrix

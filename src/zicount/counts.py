@@ -69,10 +69,24 @@ class CountParams:
         object.__setattr__(self, "pi", pi)
 
 
+def _count_errors(values):
+    """The one rule for what a count is: finite, nonnegative and whole, as
+    (description, mask) pairs over ``values``; a bad value takes the
+    description of the first mask that holds there. The CSV reader and
+    :func:`_check_counts`, every other entry point's check, apply it."""
+    return (
+        ("negative or non-finite cell", ~np.isfinite(values) | (values < 0)),
+        ("non-integer count", values != np.floor(values)),
+    )
+
+
 def _check_counts(y) -> np.ndarray:
+    """``y`` as an array; InvalidParameterError, naming a value that breaks
+    the rule of :func:`_count_errors`, if any does."""
     y = np.asarray(y)
-    if np.any(y < 0):
-        raise ValueError("counts must be nonnegative")
+    for _, mask in _count_errors(y):
+        if mask.any():
+            raise InvalidParameterError(f"counts must be nonnegative, finite and whole; got {y.flat[np.argmax(mask)]}")
     return y
 
 
@@ -164,13 +178,14 @@ def _nb_logpmf(y, mu, r, derivatives=False, truncated=False, log_y_factorial=Non
 def nb_log_pmf(y, params: CountParams):
     """Log pmf of the negative binomial with mean ``mu`` and dispersion ``r``.
 
-    ``y`` may be a scalar or array of nonnegative integers.
+    ``y`` may be a scalar or array of counts; every pmf raises
+    InvalidParameterError for a NaN, infinite, negative or fractional one.
     """
     if params.flavor is not Flavor.NB:
         raise InvalidParameterError("nb_log_pmf requires flavor NB")
     y = _check_counts(y)
     out = _nb_logpmf(y, params.mu, params.r)
-    return float(out) if np.isscalar(y) or y.ndim == 0 else out
+    return float(out) if y.ndim == 0 else out
 
 
 def nb_pmf(y, params: CountParams):
@@ -188,8 +203,8 @@ def zinb_pmf(y, params: CountParams):
     y = _check_counts(y)
     pi = params.pi
     base = np.exp(_nb_logpmf(y, params.mu, params.r))
-    out = np.where(np.asarray(y) == 0, pi + (1.0 - pi) * base, (1.0 - pi) * base)
-    return float(out) if np.isscalar(y) or np.asarray(y).ndim == 0 else out
+    out = np.where(y == 0, pi + (1.0 - pi) * base, (1.0 - pi) * base)
+    return float(out) if y.ndim == 0 else out
 
 
 def hnb_pmf(y, params: CountParams):
@@ -202,19 +217,16 @@ def hnb_pmf(y, params: CountParams):
     if params.flavor is not Flavor.HNB:
         raise InvalidParameterError("hnb_pmf requires flavor HNB")
     y = _check_counts(y)
-    arr = np.asarray(y)
     pi = params.pi
-    if np.any(arr > 0):
+    if np.any(y > 0):
         denom = _nb_positive(_log_nb_zero(params.mu, params.r))
         if denom <= 0.0:
-            raise DegenerateTruncationError(
-                f"1 - NB(0) underflowed for mu={params.mu}, r={params.r}"
-            )
-        positive = (1.0 - pi) * np.exp(_nb_logpmf(arr, params.mu, params.r)) / denom
+            raise DegenerateTruncationError(f"1 - NB(0) underflowed for mu={params.mu}, r={params.r}")
+        positive = (1.0 - pi) * np.exp(_nb_logpmf(y, params.mu, params.r)) / denom
     else:
-        positive = np.zeros_like(arr, dtype=float)
-    out = np.where(arr == 0, pi, positive)
-    return float(out) if np.isscalar(y) or arr.ndim == 0 else out
+        positive = np.zeros_like(y, dtype=float)
+    out = np.where(y == 0, pi, positive)
+    return float(out) if y.ndim == 0 else out
 
 
 def _sample_nb(rng: np.random.Generator, mu, r):

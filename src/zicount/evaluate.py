@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 from scipy.special import expit
 
-from .copula import LatentCopulaModel, fit_tlnpn, sample_tlnpn
+from .copula import _QMC_POINTS, LatentCopulaModel, fit_tlnpn, sample_tlnpn
 from .counts import Flavor, _sample_hnb
 from .exceptions import ShapeError, UndefinedComparisonError, ZicountError
 from .fitting import fit_intercept_only, fit_regression
@@ -179,7 +179,7 @@ class TlnpnModel:
     does not change the other roots.
     """
 
-    def __init__(self, qmc_points: int = 4096):
+    def __init__(self, qmc_points: int = _QMC_POINTS):
         self.qmc_points = qmc_points
 
     @property
@@ -200,9 +200,11 @@ _MODEL_TAGS = {
     "hnb_cv": lambda qmc_points: HurdleModel(use_covariates=True),
     "tlnpn": lambda qmc_points: TlnpnModel(qmc_points=qmc_points),
 }
+# the models that a run compares when it names none
+_DEFAULT_MODELS = ("hnb", "tlnpn")
 
 
-def make_model(tag: str, qmc_points: int = 4096):
+def make_model(tag: str, qmc_points: int = _QMC_POINTS):
     """Model adapter from its report tag."""
     if tag not in _MODEL_TAGS:
         raise ValueError(f"unknown model tag {tag!r}; expected one of {sorted(_MODEL_TAGS)}")
@@ -246,10 +248,11 @@ class EvalReport:
 
 
 def _checked_models(models, order) -> list:
-    """The models to evaluate (hnb and tlnpn by default); tags must be unique."""
+    """The models to evaluate (those of ``_DEFAULT_MODELS`` by default);
+    tags must be unique."""
     _check_order(order)
     if models is None:
-        models = [HurdleModel(False), TlnpnModel()]
+        models = [make_model(tag) for tag in _DEFAULT_MODELS]
     names = [m.name for m in models]
     if len(set(names)) != len(names):
         raise ValueError("duplicate model tags")

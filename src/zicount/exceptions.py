@@ -6,7 +6,7 @@ class ZicountError(Exception):
 
 
 class InvalidParameterError(ZicountError, ValueError):
-    """A distribution parameter is non-finite or outside its domain."""
+    """A distribution parameter, or a count, is non-finite or outside its domain."""
 
 
 class DegenerateTruncationError(ZicountError, ValueError):

@@ -105,8 +105,8 @@ class SettingConfig:
             raise ValueError(f"scenario {self.setting.value} needs {missing}")
         if self.n <= 0 or self.p <= 0 or self.r <= 0:
             raise ValueError("n, p and r must be positive")
-        if self.transform not in ("none", "sqrt"):
-            raise ValueError("transform must be 'none' or 'sqrt'")
+        if self.transform not in _TRANSFORMS:
+            raise ValueError(f"transform must be one of {_TRANSFORMS}")
         if self.corr is not None and self.corr.p != self.p:
             raise ValueError(f"p = {self.p} but the CorrelationSpec has p = {self.corr.p}")
 
@@ -118,6 +118,8 @@ def _is_default(config: SettingConfig, f) -> bool:
 
 # the variables of the multivariate scenarios (two and three)
 LATENT_DIM = 5
+# scenario three's transforms of its source table
+_TRANSFORMS = ("none", "sqrt")
 
 # the SettingConfig fields that each scenario's generator reads
 _UNIVARIATE = ("n", "beta0", "beta1", "gamma0", "gamma1", "r", "flavor")
@@ -320,9 +322,7 @@ def select_columns_by_zero_fraction(values: np.ndarray, targets) -> np.ndarray:
     values = np.asarray(values)
     targets = np.asarray(targets, dtype=float)
     if values.shape[1] < len(targets):
-        raise SelectionError(
-            f"need {len(targets)} columns, source has {values.shape[1]}"
-        )
+        raise SelectionError(f"need {len(targets)} columns, source has {values.shape[1]}")
     zf = np.mean(values == 0, axis=0)
     chosen = []
     available = np.ones(values.shape[1], dtype=bool)

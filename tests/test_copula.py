@@ -255,6 +255,14 @@ class TestZeroTruncationLevels:
         data[:3, 0] = 0.0
         assert zero_truncation_levels(data)[0] == pytest.approx(ndtri(0.3), abs=1e-12)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_names_its_column(self, bad):
+        # a NaN is neither a zero nor a positive count
+        data = np.array([[0.0, 0.0], [1.0, 2.0], [0.0, 3.0]])
+        data[0, 1] = bad
+        with pytest.raises(NonFiniteDataError, match=r"^column 1 holds a NaN or infinite value"):
+            zero_truncation_levels(data)
+
 
 class TestPhi4:
     """The Phi4 reference of the bridge tests against exact values and

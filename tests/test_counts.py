@@ -7,7 +7,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import nbinom
 
-from zicount import CountParams, Flavor, hnb_pmf, nb_log_pmf, nb_pmf, sample_count, zinb_pmf
+from zicount import (
+    CountParams,
+    Dataset,
+    Flavor,
+    fit_intercept_only,
+    fit_regression,
+    hnb_pmf,
+    nb_log_pmf,
+    nb_pmf,
+    sample_count,
+    zinb_pmf,
+)
 from zicount.counts import _log_nb_zero, _nb_logpmf, _nb_positive, _sample_zero_truncated_nb
 from zicount.exceptions import DegenerateTruncationError, InvalidParameterError, ZicountError
 
@@ -314,3 +325,36 @@ class TestSampleCount:
     def test_nb_flavor_pi_reported_as_zero(self):
         params = CountParams(mu=2.0, r=1.0, pi=0.7, flavor=Flavor.NB)
         assert params.pi == 0.0
+
+
+# every entry point that takes counts, each given one table of six counts
+ENTRY_POINTS = {
+    "fit_intercept_only HNB": lambda y: fit_intercept_only(y, Flavor.HNB),
+    "fit_intercept_only NB": lambda y: fit_intercept_only(y, Flavor.NB),
+    "fit_intercept_only ZINB": lambda y: fit_intercept_only(y, Flavor.ZINB),
+    "fit_regression ZINB": lambda y: fit_regression(y, np.column_stack([np.ones(6), np.arange(6.0)]), None, Flavor.ZINB),
+    "fit_regression HNB": lambda y: fit_regression(y, np.ones((6, 1)), None, Flavor.HNB),
+    "nb_log_pmf": lambda y: nb_log_pmf(y, CountParams(mu=2.0, r=1.0, flavor=Flavor.NB)),
+    "zinb_pmf": lambda y: zinb_pmf(y, CountParams(mu=2.0, r=1.0, pi=0.3, flavor=Flavor.ZINB)),
+    "hnb_pmf": lambda y: hnb_pmf(y, CountParams(mu=2.0, r=1.0, pi=0.3, flavor=Flavor.HNB)),
+    "Dataset": lambda y: Dataset(np.reshape(y, (3, 2)), ("a", "b")),
+}
+
+
+class TestCountRule:
+    """A count is finite, nonnegative and whole at every entry point; a bad
+    one raises an error that the package's callers catch (a ZicountError)
+    and that plain callers catch (a ValueError)."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0, 2.5], ids=["nan", "inf", "negative", "fractional"])
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_bad_count_is_rejected(self, entry, bad):
+        with pytest.raises(InvalidParameterError, match="counts must be nonnegative") as caught:
+            ENTRY_POINTS[entry]([0.0, 1.0, 3.0, bad, 2.0, 7.0])
+        assert isinstance(caught.value, ZicountError) and isinstance(caught.value, ValueError)
+        assert caught.value.args[0].endswith(f"got {bad}")
+
+    @pytest.mark.parametrize("y", [2.5, -1, np.nan])
+    def test_scalar_count_is_checked(self, y):
+        with pytest.raises(InvalidParameterError):
+            nb_log_pmf(y, CountParams(mu=2.0, r=1.0, flavor=Flavor.NB))

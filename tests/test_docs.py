@@ -1,6 +1,7 @@
-"""README tables that list what the code reads are checked against the code,
-so that neither can change without the other."""
+"""README tables that list what the code reads or exports are checked
+against the code, so that neither can change without the other."""
 
+import importlib
 import re
 from pathlib import Path
 
@@ -9,6 +10,8 @@ import pytest
 from zicount.bench import _SPECS, Experiment
 from zicount.cli import scenario_parameters
 from zicount.synth import Setting
+
+from test_exports import REEXPORTED
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -41,8 +44,12 @@ def table_rows(header: str) -> dict:
             "| scenario | parameters it reads, with the value of an omitted one |",
             {setting.value: list(scenario_parameters(setting)) for setting in Setting},
         ),
+        (
+            "| module | names |",
+            {name: list(importlib.import_module(f"zicount.{name}").__all__) for name in REEXPORTED},
+        ),
     ],
-    ids=["experiment keys", "simulate parameters"],
+    ids=["experiment keys", "simulate parameters", "package exports"],
 )
 def test_readme_table_lists_what_the_code_reads(header, expected):
     assert table_rows(header) == expected

@@ -17,9 +17,9 @@ digest in the same commit and says which experiment kinds moved and why.
 Run as a script (``python tests/test_golden.py`` from a checkout), this
 file prints every golden config's current digest in the form of
 ``GOLDEN_DIGESTS``, each marked ``same`` or ``moved`` against the committed
-digest. The digests were recorded on the numpy and scipy
-versions below; other versions may differ in the last bits of ``eigh`` or
-``gammaln``, so there the digest checks are skipped.
+digest, and exits 1 when any kind moved. The digests were recorded on the
+numpy and scipy versions below; other versions may differ in the last bits
+of ``eigh`` or ``gammaln``, so there the digest checks are skipped.
 """
 
 import hashlib
@@ -175,11 +175,13 @@ def test_shipped_config_fingerprint_is_unchanged(name):
     assert config.fingerprint()[:16] == CONFIG_FINGERPRINTS[name]
 
 
-def print_golden_digests():
+def print_golden_digests() -> bool:
     """Print each golden config's digest and the fits' digest on this tree,
     as the body of ``GOLDEN_DIGESTS`` with each kind marked ``same`` or
-    ``moved``, and the numpy and scipy versions they hold for."""
+    ``moved``, and the numpy and scipy versions they hold for. Returns
+    whether every kind is the same."""
     print(f"# numpy {np.__version__}, scipy {scipy.__version__}")
+    moved = []
     with tempfile.TemporaryDirectory() as tmp:
         for name in GOLDEN_DIGESTS:
             out = Path(tmp) / name
@@ -189,9 +191,11 @@ def print_golden_digests():
                     digest = fit_digest(out, monkeypatch)
                 else:
                     digest = golden_digest(ExperimentConfig(seed=1, out=str(out), **GOLDEN_CONFIGS[name]), monkeypatch)
-                mark = "same" if digest == GOLDEN_DIGESTS[name] else "moved"
-                print(f'    "{name}": "{digest}",  # {mark}')
+                if digest != GOLDEN_DIGESTS[name]:
+                    moved.append(name)
+                print(f'    "{name}": "{digest}",  # {"moved" if name in moved else "same"}')
+    return not moved
 
 
 if __name__ == "__main__":
-    print_golden_digests()
+    sys.exit(0 if print_golden_digests() else 1)
