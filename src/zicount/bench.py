@@ -42,9 +42,6 @@ from .synth import (
     gen_setting_two,
     resolve_setting_one_gamma0,
     scenario_config,
-    setting_one_config,
-    setting_one_deflation_config,
-    setting_two_config,
 )
 
 __all__ = [
@@ -167,7 +164,7 @@ def _check_cells(path, values, row_nums, columns, cell_errors):
 
 def rescale_power(data: Dataset, exponent: float) -> Dataset:
     """Replace every entry by round(entry ** exponent)."""
-    if not 0.0 < exponent <= 1.0:
+    if not _CHECKS["rescale_exponent"][1](exponent):
         raise ValueError("exponent must lie in (0, 1]")
     values = np.round(np.power(data.values, exponent))
     return Dataset(values=values, variable_names=data.variable_names, provenance=data.provenance + (f"power({exponent})",))
@@ -258,18 +255,27 @@ class ExperimentConfig:
     force: bool = False
 
     def __post_init__(self):
-        for key, coerce, valid in _SCALARS:
-            object.__setattr__(self, key, _checked(key, coerce, valid, getattr(self, key), "config value"))
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name in _CHECKS and not (f.default is None and value is None):
+                object.__setattr__(self, f.name, _checked(f.name, *_CHECKS[f.name], value, "config value"))
         spec = _SPECS[self.experiment]
-        extra = set(self.grids) - {key for key, _, _ in spec.grid}
+        extra = set(self.grids) - set(spec.grid)
         if extra:
             raise ValueError(f"grid keys {sorted(extra)} not valid for {self.experiment.value}")
         grid = {}
-        for key, coerce, valid in spec.grid:
+        for key in spec.grid:
             values = list(self.grids.get(key, ()))
             if not values:
                 raise ValueError(f"{self.experiment.value} needs a nonempty grid for {key!r}")
-            grid[key] = [_checked(key, coerce, valid, v, "grid value") for v in values]
+            grid[key] = [_checked(key, *_CHECKS[key], v, "grid value") for v in values]
+        if spec.tagged:
+            tags = {}
+            for value in grid[spec.tagged]:
+                tag = _stream_tag(value)
+                if tag in tags:
+                    raise ValueError(f"grid values {tags[tag]!r} and {value!r} of {spec.tagged!r} share one random stream")
+                tags[tag] = value
         if "corr" in grid:  # the rho range of each corr lives in CorrelationSpec
             for corr, rho in itertools.product(grid["corr"], grid["rho"]):
                 try:
@@ -323,24 +329,27 @@ _RUN_ONLY = ("out", "threads", "force")
 # fields every experiment reads; each _Spec lists the others it reads
 _ALWAYS_READ = ("experiment", "grids", "seed") + _RUN_ONLY
 
-# (key, coerce, valid) of each checked ExperimentConfig field, as for the grids
-_SCALARS = (
-    ("replications", _count, lambda v: v >= 1),
-    ("folds", _count, lambda v: v >= 2),
-    ("n_splits", _count, lambda v: v >= 1),
-    ("seed", _count, lambda v: v >= 0),
-    ("order", _count, lambda v: v in (1, 2)),
-    ("threads", _count, lambda v: v >= 1),
-    ("n", lambda v: v if v is None else _count(v), lambda v: v is None or v >= 1),
-    ("qmc_points", _count, lambda v: v >= 1),
-    ("rescale_exponent", lambda v: v if v is None else float(v), lambda v: v is None or 0.0 < v <= 1.0),
-    ("dataset", lambda v: v, lambda v: v is None or (isinstance(v, str) and v != "")),
-    # switches are JSON true or false: a string such as "no" would be truthy
-    ("collect_extras", lambda v: v, lambda v: isinstance(v, bool)),
-    ("force", lambda v: v, lambda v: isinstance(v, bool)),
+# (coerce, valid) of each value from outside the program: the checked
+# ExperimentConfig fields, the grid keys and the `zicount simulate` parameters
+_CHECKS = {
+    **dict.fromkeys(("replications", "n_splits", "threads", "n", "qmc_points", "p"), (_count, lambda v: v >= 1)),
+    **dict.fromkeys(("seed", "orthogonal_seed"), (_count, lambda v: v >= 0)),
+    "folds": (_count, lambda v: v >= 2),
+    "order": (_count, lambda v: v in (1, 2)),
     # a nonempty list of unique tags that make_model knows
-    ("models", tuple, lambda v: v and len(set(v)) == len(v) and set(v) <= set(_MODEL_TAGS)),
-)
+    "models": (tuple, lambda v: v and len(set(v)) == len(v) and set(v) <= set(_MODEL_TAGS)),
+    "dataset": (lambda v: v, lambda v: isinstance(v, str) and v != ""),
+    "rescale_exponent": (float, lambda v: 0.0 < v <= 1.0),
+    # switches are JSON true or false: a string such as "no" would be truthy
+    **dict.fromkeys(("collect_extras", "force"), (lambda v: v, lambda v: isinstance(v, bool))),
+    **dict.fromkeys(("zero_target", "pi_h"), (float, lambda v: 0.0 < v < 1.0)),
+    "flavor": (lambda v: str(v).lower(), lambda v: v in (Flavor.ZINB.value, Flavor.HNB.value)),
+    "corr": (lambda v: str(v).upper(), lambda v: v in {kind.value for kind in CorrKind}),
+    # the range of rho per corr is checked by CorrelationSpec
+    **dict.fromkeys(("beta0", "beta1", "gamma0", "gamma1", "rho"), (float, np.isfinite)),
+    "r": (float, lambda v: v > 0.0 and np.isfinite(v)),
+    "transform": (str, lambda v: v in _TRANSFORMS),
+}
 
 
 def config_from_json(path, **overrides) -> ExperimentConfig:
@@ -407,6 +416,12 @@ def _seed(*entropy) -> int:
     return int(np.random.SeedSequence(list(entropy)).generate_state(1)[0])
 
 
+def _stream_tag(value: float) -> int:
+    """The seed entropy of a setting-one zero target or a deflation pi_h;
+    ExperimentConfig refuses a grid in which two values share one."""
+    return int(round(value * 1000))
+
+
 def _models(config: ExperimentConfig) -> list:
     """The config's model adapters."""
     return [make_model(tag, config.qmc_points) for tag in config.models]
@@ -416,7 +431,7 @@ def _calibrate_setting_one(config: ExperimentConfig, point: dict, source):
     """(gamma0, mode) of one setting-one grid point, or the exception that
     calibrating it raised. It depends on the config seed, n, flavor and
     zero target only, so every replication of the point shares it."""
-    base = setting_one_config(Flavor(point["flavor"]), gamma0=0.0, n=config.n)
+    base = scenario_config(Setting.ONE, flavor=Flavor(point["flavor"]), n=config.n)
     cal_seed = _seed(config.seed, 11)
     try:
         return resolve_setting_one_gamma0(base, point["zero_target"], cal_seed)
@@ -434,10 +449,8 @@ def _run_setting_one_cell(config, point, replication, calibration):
     gamma0, mode = calibration
     zero_target = point["zero_target"]
     flavor = Flavor(point["flavor"])
-    cfg = setting_one_config(flavor, gamma0=gamma0, n=config.n)
-    y, x = gen_setting_one(
-        cfg, _seed(config.seed, 12, replication, int(round(zero_target * 1000)), int(flavor is Flavor.ZINB))
-    )
+    cfg = scenario_config(Setting.ONE, flavor=flavor, gamma0=gamma0, n=config.n)
+    y, x = gen_setting_one(cfg, _seed(config.seed, 12, replication, _stream_tag(zero_target), int(flavor is Flavor.ZINB)))
     X = np.column_stack([np.ones(len(y)), x])
     rows = []
     for model_flavor in (Flavor.ZINB, Flavor.HNB):
@@ -461,8 +474,8 @@ def _run_setting_one_cell(config, point, replication, calibration):
 
 def _run_deflation_cell(config, point, replication, _):
     pi_h = point["pi_h"]
-    cfg = setting_one_deflation_config(gamma0=float(logit(pi_h)), n=config.n)
-    y, x = gen_setting_one(cfg, _seed(config.seed, 21, replication, int(round(pi_h * 1000))))
+    cfg = scenario_config(Setting.ONE_DEFLATION, gamma0=float(logit(pi_h)), n=config.n)
+    y, x = gen_setting_one(cfg, _seed(config.seed, 21, replication, _stream_tag(pi_h)))
     X = np.column_stack([np.ones(len(y)), x])
     fit_z = fit_regression(y, X, X, Flavor.ZINB)
     fit_h = fit_regression(y, X, None, Flavor.HNB)
@@ -499,8 +512,9 @@ def _cv_tables(config: ExperimentConfig, point: dict, replication: int, Y, X, ev
 
 
 def _run_setting_two_cell(config, point, replication, _):
-    cfg = setting_two_config(
-        _corr_spec(config, point),
+    cfg = scenario_config(
+        Setting.TWO,
+        corr=_corr_spec(config, point),
         beta1=point["beta1"],
         gamma0=point["gamma0"],
         gamma1=point["gamma1"],
@@ -545,26 +559,25 @@ def hash_cell(*parts) -> int:
 class _Spec(NamedTuple):
     """How one experiment expands into cells and runs each of them.
 
-    ``grid`` holds one (key, coerce, valid) entry per grid key, in cell
-    order: the nesting of the expansion, the cell key that leads the rows,
+    ``grid`` names the grid keys, each checked by its ``_CHECKS`` entry, in
+    cell order: the nesting of the expansion, the cell key that leads the rows,
     the ``hash_cell`` arguments and a failed cell's manifest ``args`` all
     follow it. ``context(config, point, source)`` is computed once per grid
     point and shared by its replications. ``keys`` names the config fields
     the experiment reads besides ``_ALWAYS_READ``; a config that sets any
     other field is refused. An experiment that reads ``dataset`` runs on a
     source table, and one that does not read ``replications`` runs one cell
-    per grid point.
+    per grid point. ``tagged`` names the grid key whose values seed their
+    cells through ``_stream_tag``.
     """
 
     worker: Callable
     grid: tuple = ()
     context: Optional[Callable] = None
     keys: tuple = ()
+    tagged: Optional[str] = None
 
 
-_CORR = ("corr", lambda v: str(v).upper(), lambda v: v in ("AR", "GD"))
-_RHO = ("rho", float, np.isfinite)  # its range per corr is checked by CorrelationSpec
-_ZERO_TARGET = ("zero_target", float, lambda v: 0.0 < v < 1.0)
 _SIMULATED = ("replications", "n")  # keys of the experiments that generate data
 _CV = ("folds", "models", "qmc_points", "order", "collect_extras")
 _SOURCE = ("dataset", "rescale_exponent")
@@ -573,19 +586,16 @@ _SOURCE = ("dataset", "rescale_exponent")
 _SPECS = {
     Experiment.SETTING_ONE: _Spec(
         _run_setting_one_cell,
-        (_ZERO_TARGET, ("flavor", lambda v: str(v).lower(), lambda v: v in ("zinb", "hnb"))),
+        ("zero_target", "flavor"),
         context=_calibrate_setting_one,
         keys=_SIMULATED,
+        tagged="zero_target",
     ),
-    Experiment.SETTING_ONE_DEFLATION: _Spec(_run_deflation_cell, (("pi_h", float, lambda v: 0.0 < v < 1.0),), keys=_SIMULATED),
-    Experiment.SETTING_TWO: _Spec(
-        _run_setting_two_cell,
-        (_CORR, _RHO, ("beta1", float, np.isfinite), ("gamma0", float, np.isfinite), ("gamma1", float, np.isfinite)),
-        keys=_SIMULATED + _CV,
-    ),
+    Experiment.SETTING_ONE_DEFLATION: _Spec(_run_deflation_cell, ("pi_h",), keys=_SIMULATED, tagged="pi_h"),
+    Experiment.SETTING_TWO: _Spec(_run_setting_two_cell, ("corr", "rho", "beta1", "gamma0", "gamma1"), keys=_SIMULATED + _CV),
     Experiment.SETTING_THREE: _Spec(
         _run_setting_three_cell,
-        (_CORR, _RHO, _ZERO_TARGET, ("transform", str, lambda v: v in _TRANSFORMS)),
+        ("corr", "rho", "zero_target", "transform"),
         context=_source_values,
         keys=_SIMULATED + _CV + _SOURCE,
     ),
@@ -597,11 +607,10 @@ def _cells(config: ExperimentConfig, source: Optional[Dataset]):
     """Expand the config grid into (worker, args, labels) cells, one per grid
     point and replication; ``labels`` name a failed cell in the manifest."""
     spec = _SPECS[config.experiment]
-    keys = [key for key, _, _ in spec.grid]
     replicated = "replications" in spec.keys
     cells = []
-    for values in itertools.product(*(config.grids[key] for key in keys)):
-        point = dict(zip(keys, values))
+    for values in itertools.product(*(config.grids[key] for key in spec.grid)):
+        point = dict(zip(spec.grid, values))
         context = spec.context(config, point, source) if spec.context else None
         for rep in range(config.replications if replicated else 1):
             labels = [str(v) for v in values] + ([str(rep)] if replicated else [])

@@ -14,9 +14,9 @@ import sys
 import numpy as np
 
 from .bench import (
+    _CHECKS,
     Experiment,
     _checked,
-    _count,
     _load_source,
     _read_csv,
     _write_csv,
@@ -32,7 +32,6 @@ from .exceptions import ZicountError
 from .fitting import fit_intercept_only, fit_regression
 from .synth import (
     _READS,
-    _TRANSFORMS,
     LATENT_DIM,
     CorrKind,
     CorrelationSpec,
@@ -168,19 +167,6 @@ def _cmd_fit(args) -> int:
     return 0
 
 
-# (coerce, valid) of each simulate parameter, as bench._SCALARS checks the config's
-_PARAMETER_CHECKS = {
-    **dict.fromkeys(("n", "p"), (_count, lambda v: v >= 1)),
-    **dict.fromkeys(("beta0", "beta1", "gamma0", "gamma1", "rho"), (float, np.isfinite)),
-    "r": (float, lambda v: v > 0.0 and np.isfinite(v)),
-    "flavor": (lambda v: Flavor(str(v).lower()), lambda v: v is not Flavor.NB),
-    "corr": (lambda v: CorrKind(str(v).upper()), lambda v: True),
-    "orthogonal_seed": (_count, lambda v: v >= 0),
-    "zero_target": (float, lambda v: 0.0 < v < 1.0),
-    "transform": (str, lambda v: v in _TRANSFORMS),
-    "dataset": (lambda v: v, lambda v: isinstance(v, str) and v != ""),
-    "rescale_exponent": (float, lambda v: 0.0 < v <= 1.0),
-}
 # the parameters that stand for a SettingConfig field; every other field is its own
 _PARAMETERS_OF = {"corr": ("corr", "rho", "orthogonal_seed"), "marginal_source": ("dataset", "rescale_exponent")}
 
@@ -203,10 +189,12 @@ def _scenario_config(scenario: str, params) -> SettingConfig:
     missing = [key for key in ("corr", "rho") if key in keys and key not in params]
     if missing:
         raise ValueError(f"scenario {scenario} needs parameters {missing}")
-    v = {key: _checked(key, *_PARAMETER_CHECKS[key], value, "scenario parameter") for key, value in params.items()}
+    v = {key: _checked(key, *_CHECKS[key], value, "scenario parameter") for key, value in params.items()}
+    if "flavor" in v:
+        v["flavor"] = Flavor(v["flavor"])
     if "corr" in v:
         spec = {key: v.pop(key) for key in ("rho", "orthogonal_seed") if key in v}
-        v["corr"] = CorrelationSpec(v["corr"], p=v.get("p", LATENT_DIM), **spec)
+        v["corr"] = CorrelationSpec(CorrKind(v["corr"]), p=v.get("p", LATENT_DIM), **spec)
     if "marginal_source" in _READS[setting]:
         v["marginal_source"] = _load_source(v.pop("dataset", "standin"), v.pop("rescale_exponent", None)).values
     return scenario_config(setting, **v)

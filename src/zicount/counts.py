@@ -267,8 +267,18 @@ def _sample_zero_truncated_nb(rng: np.random.Generator, mu, r):
     return np.maximum(y, 1).astype(np.int64)
 
 
-def _sample_zinb(rng: np.random.Generator, mu, r, pi):
+def _finite_means(mu) -> np.ndarray:
+    """``mu`` as a float array; CountOverflowError, naming a mean that is
+    not finite, if any is: its draws would not fit in int64."""
     mu = np.asarray(mu, dtype=float)
+    finite = np.isfinite(mu)
+    if not finite.all():
+        raise CountOverflowError(f"NB mean {mu.flat[np.argmin(finite)]} is not finite; its draws exceed int64")
+    return mu
+
+
+def _sample_zinb(rng: np.random.Generator, mu, r, pi):
+    mu = _finite_means(mu)
     y = _sample_nb(rng, mu, r)
     if np.any(np.asarray(pi) > 0):
         y = np.where(rng.random(mu.shape) < pi, 0, y)
@@ -276,7 +286,7 @@ def _sample_zinb(rng: np.random.Generator, mu, r, pi):
 
 
 def _sample_hnb(rng: np.random.Generator, mu, r, pi):
-    mu = np.asarray(mu, dtype=float)
+    mu = _finite_means(mu)
     at_zero = rng.random(mu.shape) < pi
     y = np.zeros(mu.shape, dtype=np.int64)
     if not at_zero.all():

@@ -147,21 +147,6 @@ def scenario_config(setting: Setting, **params) -> SettingConfig:
     return SettingConfig(setting=setting, **{**_CONSTANTS[setting], **given})
 
 
-def setting_one_config(flavor: Flavor, gamma0: float, **overrides) -> SettingConfig:
-    """A univariate comparison cell with the scenario's constants."""
-    return scenario_config(Setting.ONE, flavor=flavor, gamma0=gamma0, **overrides)
-
-
-def setting_one_deflation_config(gamma0: float, **overrides) -> SettingConfig:
-    """A deflation sweep cell with the scenario's constants."""
-    return scenario_config(Setting.ONE_DEFLATION, gamma0=gamma0, **overrides)
-
-
-def setting_two_config(corr: CorrelationSpec, beta1: float, gamma0: float, gamma1: float, **overrides) -> SettingConfig:
-    """A multivariate hurdle population cell with the scenario's constants and p = corr.p."""
-    return scenario_config(Setting.TWO, corr=corr, beta1=beta1, gamma0=gamma0, gamma1=gamma1, **{"p": corr.p, **overrides})
-
-
 def ar_correlation(spec: CorrelationSpec) -> np.ndarray:
     """AR correlation matrix: entry (j, j') = rho^|j-j'|."""
     if spec.kind is not CorrKind.AR:

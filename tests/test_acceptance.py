@@ -35,8 +35,9 @@ from zicount.bench import Experiment, ExperimentConfig, read_results, run_experi
 from zicount.synth import (
     ar_correlation,
     gd_covariance,
+    Setting,
     gen_setting_two,
-    setting_two_config,
+    scenario_config,
 )
 
 from test_copula import make_tlnpn_sample, simulate_truncated_pair_tau
@@ -126,7 +127,7 @@ def test_criterion_04_setting_two_desk_scale():
 
     def run_cell(beta1, rho):
         spec = CorrelationSpec(CorrKind.AR, rho, 5)
-        cfg = setting_two_config(spec, beta1=beta1, gamma0=gamma0, gamma1=0.0)
+        cfg = scenario_config(Setting.TWO, corr=spec, beta1=beta1, gamma0=gamma0, gamma1=0.0)
         out = {"hnb_vs_tlnpn": [], "hnb_cv_vs_tlnpn": []}
         for rep in range(reps):
             data_seed = int(

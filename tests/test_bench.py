@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -15,6 +16,7 @@ import pytest
 
 from zicount import bench
 from zicount.bench import (
+    _SPECS,
     Dataset,
     Experiment,
     ExperimentConfig,
@@ -29,7 +31,7 @@ from zicount.bench import (
 from zicount.counts import Flavor
 from zicount.evaluate import EvalRecord, EvalReport
 from zicount.exceptions import InvalidParameterError, ParseError
-from zicount.synth import resolve_setting_one_gamma0, setting_one_config
+from zicount.synth import Setting, resolve_setting_one_gamma0, scenario_config
 
 mpmath.mp.dps = 50
 
@@ -257,6 +259,37 @@ class TestExperimentConfig:
         shipped = ExperimentConfig(experiment=Experiment.SETTING_ONE, grids={"zero_target": [0.5], "flavor": ["zinb"]})
         assert config.fingerprint() == shipped.fingerprint()
 
+    @pytest.mark.parametrize(
+        "experiment, grids, key, pair",
+        [
+            (Experiment.SETTING_ONE_DEFLATION, {"pi_h": [0.6, 0.3, 0.3004]}, "pi_h", "0.3 and 0.3004"),
+            (Experiment.SETTING_ONE, {"zero_target": [0.4, 0.5, 0.4], "flavor": ["zinb"]}, "zero_target", "0.4 and 0.4"),
+        ],
+    )
+    def test_rejects_grid_values_that_share_a_random_stream(self, experiment, grids, key, pair):
+        with pytest.raises(ValueError, match=re.escape(f"grid values {pair} of {key!r} share one random stream")):
+            ExperimentConfig(experiment=experiment, grids=grids)
+
+    def test_values_one_stream_tag_apart_are_accepted(self):
+        config = ExperimentConfig(experiment=Experiment.SETTING_ONE_DEFLATION, grids={"pi_h": [0.3, 0.3006]})
+        assert config.grids == {"pi_h": [0.3, 0.3006]}
+        three = {"rho": [0.5], "zero_target": [0.4, 0.4001], "transform": ["none"], "corr": ["AR"]}
+        assert ExperimentConfig(experiment=Experiment.SETTING_THREE, grids=three, dataset="standin").grids == three
+
+    @pytest.mark.parametrize(
+        "experiment, key",
+        [
+            pytest.param(experiment, key, id=f"{experiment.value}-{key}")
+            for experiment in Experiment
+            for key in _SPECS[experiment].grid
+        ],
+    )
+    def test_null_grid_value_names_its_key(self, experiment, key):
+        grids, _, reads = READ_KEYS[experiment]
+        source = {"dataset": "standin"} if "dataset" in reads else {}
+        with pytest.raises(ValueError, match=rf"^grid value None out of range for '{key}'$"):
+            ExperimentConfig(experiment=experiment, grids=dict(grids, **{key: [None]}), **source)
+
     def test_real_data_needs_dataset(self):
         with pytest.raises(ValueError, match="dataset"):
             ExperimentConfig(experiment=Experiment.REAL_DATA, grids={})
@@ -357,7 +390,7 @@ class TestRunExperiment:
         cal_seed = int(np.random.SeedSequence([config.seed, 11]).generate_state(1)[0])
         for row in rows:
             flavor = Flavor(row["true_flavor"])
-            base = setting_one_config(flavor, gamma0=0.0, n=config.n)
+            base = scenario_config(Setting.ONE, flavor=flavor, gamma0=0.0, n=config.n)
             gamma0, mode = resolve_setting_one_gamma0(base, float(row["zero_target"]), cal_seed)
             assert (row["gamma0"], row["calibration"]) == (str(gamma0), mode)
 

@@ -1,15 +1,17 @@
 import csv
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from zicount import CorrelationSpec, CorrKind, Flavor, bench
-from zicount.cli import main
+from zicount.bench import _CHECKS, ExperimentConfig
+from zicount.cli import main, scenario_parameters
 from zicount.evaluate import wasserstein_pd
 from zicount.fitting import fit_intercept_only, fit_regression
 from zicount.exceptions import InvalidParameterError
-from zicount.synth import gen_setting_one, gen_setting_two, setting_one_config, setting_two_config
+from zicount.synth import Setting, gen_setting_one, gen_setting_two, scenario_config
 
 
 def write_counts(path, values, names=None):
@@ -183,16 +185,43 @@ class TestSimulateCommand:
         assert capsys.readouterr().err == f"error: scenario {scenario} needs parameters ['rho']\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "scenario, key", [(setting.value, key) for setting in Setting for key in scenario_parameters(setting)]
+    )
+    def test_null_parameter_names_its_key(self, tmp_path, capsys, scenario, key):
+        required = {"corr": "AR", "rho": 0.5} if "corr" in scenario_parameters(Setting(scenario)) else {}
+        code, out = self.simulate(tmp_path, scenario, dict(required, **{key: None}))
+        assert code == 1
+        assert capsys.readouterr().err == f"error: scenario parameter None out of range for {key!r}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "scenario, params",
+        [
+            ("one", {"beta0": 800}),
+            ("one", {"beta0": 800, "flavor": "zinb"}),
+            ("one-deflation", {"beta0": 800}),
+            ("two", {"corr": "AR", "rho": 0.5, "beta0": 800}),
+        ],
+    )
+    @pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
+    def test_infinite_mean_is_an_error_line(self, tmp_path, capsys, scenario, params):
+        code, out = self.simulate(tmp_path, scenario, params)
+        assert code == 1
+        assert capsys.readouterr().err == "error: NB mean inf is not finite; its draws exceed int64\n"
+        assert not out.exists()
+
     def test_scenario_one_omitted_parameters_are_the_papers(self, tmp_path):
         code, out = self.simulate(tmp_path, "one", {}, seed=3)
         assert code == 0
-        y, x = gen_setting_one(setting_one_config(Flavor.HNB, gamma0=0.0), 3)
+        y, x = gen_setting_one(scenario_config(Setting.ONE, flavor=Flavor.HNB, gamma0=0.0), 3)
         assert np.array_equal(np.loadtxt(out, delimiter=",", skiprows=1), np.column_stack([y, x]))
 
     def test_scenario_two_omitted_parameters_are_the_papers(self, tmp_path):
         code, out = self.simulate(tmp_path, "two", {"corr": "AR", "rho": 0.5}, seed=3)
         assert code == 0
-        Y, X = gen_setting_two(setting_two_config(CorrelationSpec(CorrKind.AR, 0.5, 5), 0.0, 0.0, 0.0), 3)
+        config = scenario_config(Setting.TWO, corr=CorrelationSpec(CorrKind.AR, 0.5, 5), beta1=0.0, gamma0=0.0, gamma1=0.0)
+        Y, X = gen_setting_two(config, 3)
         written = np.loadtxt(out, delimiter=",", skiprows=1)
         assert np.array_equal(written, np.column_stack([Y, X]))
         assert written.shape == (1200, 10) and 7.0 < Y.mean() < 9.0
@@ -205,6 +234,15 @@ class TestSimulateCommand:
         with open(out, newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 60
+
+
+def test_each_key_from_outside_has_one_check():
+    """bench._CHECKS holds exactly the checked config fields, the grid keys
+    and the simulate parameters."""
+    config_fields = {f.name for f in dataclasses.fields(ExperimentConfig)} - {"experiment", "grids", "out"}
+    grid_keys = {key for spec in bench._SPECS.values() for key in spec.grid}
+    parameters = {key for setting in Setting for key in scenario_parameters(setting)}
+    assert set(_CHECKS) == config_fields | grid_keys | parameters
 
 
 class TestStandinCommand:

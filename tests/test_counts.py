@@ -19,8 +19,8 @@ from zicount import (
     sample_count,
     zinb_pmf,
 )
-from zicount.counts import _log_nb_zero, _nb_logpmf, _nb_positive, _sample_zero_truncated_nb
-from zicount.exceptions import DegenerateTruncationError, InvalidParameterError, ZicountError
+from zicount.counts import _log_nb_zero, _nb_logpmf, _nb_positive, _sample_hnb, _sample_zero_truncated_nb, _sample_zinb
+from zicount.exceptions import CountOverflowError, DegenerateTruncationError, InvalidParameterError, ZicountError
 
 mpmath.mp.dps = 50
 
@@ -281,6 +281,12 @@ class TestZeroTruncatedSampler:
             sample_count(1000, params, seed=0)
         with pytest.raises(ZicountError, match="int64"):
             _sample_zero_truncated_nb(StubGenerator(1.0 - 2.0**-53), np.array([params.mu]), params.r)
+
+    @pytest.mark.parametrize("sampler", [_sample_hnb, _sample_zinb])
+    @pytest.mark.parametrize("mean", [np.inf, np.nan])
+    def test_non_finite_mean_is_typed_error(self, sampler, mean):
+        with pytest.raises(CountOverflowError, match=rf"NB mean {mean} is not finite"):
+            sampler(np.random.default_rng(0), [1.0, mean], 0.5, 0.2)
 
 
 class TestSampleCount:

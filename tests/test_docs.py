@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from zicount.bench import _SPECS, Experiment
+from zicount.bench import _CHECKS, _SPECS, Experiment
 from zicount.cli import scenario_parameters
 from zicount.synth import Setting
 
@@ -48,8 +48,9 @@ def table_rows(header: str) -> dict:
             "| module | names |",
             {name: list(importlib.import_module(f"zicount.{name}").__all__) for name in REEXPORTED},
         ),
+        ("| key | accepted values |", dict.fromkeys(_CHECKS, [])),
     ],
-    ids=["experiment keys", "simulate parameters", "package exports"],
+    ids=["experiment keys", "simulate parameters", "package exports", "checked keys"],
 )
 def test_readme_table_lists_what_the_code_reads(header, expected):
     assert table_rows(header) == expected

@@ -17,7 +17,7 @@ from zicount import (
 )
 from zicount.evaluate import make_model
 from zicount.exceptions import ShapeError, UndefinedComparisonError, ZicountError
-from zicount.synth import gen_setting_two, setting_two_config
+from zicount.synth import Setting, gen_setting_two, scenario_config
 
 
 def brute_force_wasserstein(X, Y, order):
@@ -134,7 +134,7 @@ class TestAmc:
 @pytest.fixture(scope="module")
 def small_setting_two():
     spec = CorrelationSpec(CorrKind.AR, 0.5, 3)
-    cfg = setting_two_config(spec, beta1=1.0, gamma0=float(np.log(1 / 9)), gamma1=0.0, n=150, p=3)
+    cfg = scenario_config(Setting.TWO, corr=spec, beta1=1.0, gamma0=float(np.log(1 / 9)), gamma1=0.0, n=150, p=3)
     return gen_setting_two(cfg, seed=0)
 
 

@@ -46,10 +46,9 @@ from zicount.synth import (
     CorrelationSpec,
     CorrKind,
     gen_setting_one,
+    Setting,
     gen_setting_two,
-    setting_one_config,
-    setting_one_deflation_config,
-    setting_two_config,
+    scenario_config,
 )
 
 
@@ -156,7 +155,7 @@ def _joint_hnb_fit_oracle(y, X):
 
 class TestFitRegression:
     def test_setting_one_coefficient_recovery(self):
-        cfg = setting_one_config(Flavor.ZINB, gamma0=-2.8)
+        cfg = scenario_config(Setting.ONE, flavor=Flavor.ZINB, gamma0=-2.8)
         truth = np.array([cfg.beta0, cfg.beta1, cfg.gamma0, cfg.gamma1])
         hits = 0
         for rep in range(10):
@@ -184,7 +183,7 @@ class TestFitRegression:
         assert fit.loglik >= nb_ll - 1e-4
 
     def test_intercept_only_equivalence(self):
-        cfg = setting_one_config(Flavor.ZINB, gamma0=-1.0, beta1=0.0, gamma1=0.0, n=400)
+        cfg = scenario_config(Setting.ONE, flavor=Flavor.ZINB, gamma0=-1.0, beta1=0.0, gamma1=0.0, n=400)
         y, _ = gen_setting_one(cfg, seed=5)
         ones = np.ones((len(y), 1))
         full = fit_regression(y, ones, ones, Flavor.ZINB)
@@ -192,7 +191,7 @@ class TestFitRegression:
         assert reduced.loglik == pytest.approx(full.loglik, abs=1e-6)
 
     def test_hnb_factorized_equals_joint(self):
-        cfg = setting_one_config(Flavor.HNB, gamma0=-0.5, n=300)
+        cfg = scenario_config(Setting.ONE, flavor=Flavor.HNB, gamma0=-0.5, n=300)
         y, x = gen_setting_one(cfg, seed=9)
         X = np.column_stack([np.ones(len(y)), x])
         fit = fit_regression(y, X, None, Flavor.HNB)
@@ -222,7 +221,7 @@ class TestFitRegression:
             return result
 
         monkeypatch.setattr(fitting, "minimize", spy)
-        cfg = setting_one_config(Flavor.ZINB, gamma0=-1.5, n=300)
+        cfg = scenario_config(Setting.ONE, flavor=Flavor.ZINB, gamma0=-1.5, n=300)
         y, x = gen_setting_one(cfg, seed=11)
         X = np.column_stack([np.ones(len(y)), x])
         for flavor in (Flavor.ZINB, Flavor.HNB):
@@ -288,7 +287,7 @@ def _logistic_case(name, n=500, seed=3):
     an edge column on a standard-normal covariate."""
     if name.startswith("setting_one"):
         flavor = Flavor.ZINB if name.endswith("zinb") else Flavor.HNB
-        y, x = gen_setting_one(setting_one_config(flavor, gamma0=-1.0, n=n), seed=seed)
+        y, x = gen_setting_one(scenario_config(Setting.ONE, flavor=flavor, gamma0=-1.0, n=n), seed=seed)
         return (y == 0).astype(float), np.column_stack([np.ones(n), x])
     x = np.random.default_rng(seed).standard_normal(n)
     b = {"no_zero": np.zeros(n), "all_zero": np.ones(n), "separated": (x < 0).astype(float)}[name]
@@ -632,14 +631,14 @@ class TestRegressionNewtonReachesATightReference:
     @pytest.mark.parametrize("flavor", [Flavor.ZINB, Flavor.HNB])
     @pytest.mark.parametrize("true_flavor, gamma0", [(Flavor.ZINB, -1.5), (Flavor.ZINB, 0.5), (Flavor.HNB, -0.5)])
     def test_criterion_two_data(self, true_flavor, gamma0, flavor):
-        y, x = gen_setting_one(setting_one_config(true_flavor, gamma0=gamma0, n=500), seed=3)
+        y, x = gen_setting_one(scenario_config(Setting.ONE, flavor=true_flavor, gamma0=gamma0, n=500), seed=3)
         _assert_regression_reaches_a_tight_reference(y, np.column_stack([np.ones(len(y)), x]), flavor)
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_hnb_cv_columns(self, seed):
         # criterion 4's strong cell: each column regressed on its covariate
         spec = CorrelationSpec(CorrKind.AR, 0.9, 5)
-        cfg = setting_two_config(spec, beta1=2.0, gamma0=float(np.log(1.0 / 9.0)), gamma1=0.0)
+        cfg = scenario_config(Setting.TWO, corr=spec, beta1=2.0, gamma0=float(np.log(1.0 / 9.0)), gamma1=0.0)
         Y, X = gen_setting_two(cfg, seed)
         for j in range(Y.shape[1]):
             design = np.column_stack([np.ones(len(Y)), X[:, j]])
@@ -649,7 +648,7 @@ class TestRegressionNewtonReachesATightReference:
         # criterion 3's sweep at seed 10, pi_h = 0.43, replication 1: from
         # the fit's start, L-BFGS-B (at ftol 1e-9, and at the tight
         # tolerances too) stops 2.93 log-likelihood units below the Newton fit
-        cfg = setting_one_deflation_config(gamma0=float(logit(0.43)))
+        cfg = scenario_config(Setting.ONE_DEFLATION, gamma0=float(logit(0.43)))
         y, x = gen_setting_one(cfg, _seed(10, 21, 1, 430))
         _assert_regression_reaches_a_tight_reference(y, np.column_stack([np.ones(len(y)), x]), Flavor.ZINB)
 
@@ -743,7 +742,7 @@ def _second_difference_information(y, X, Z, fit, step=1e-4):
 
 @pytest.mark.parametrize("flavor", [Flavor.ZINB, Flavor.HNB])
 def test_score_information_matches_second_differences(flavor):
-    cfg = setting_one_config(flavor, gamma0=-1.0, n=500)
+    cfg = scenario_config(Setting.ONE, flavor=flavor, gamma0=-1.0, n=500)
     y, x = gen_setting_one(cfg, seed=21)
     X = np.column_stack([np.ones(len(y)), x])
     fit = fit_regression(y, X, X if flavor is Flavor.ZINB else None, flavor)

@@ -25,9 +25,6 @@ from zicount.synth import (
     sample_mvn,
     scenario_config,
     select_columns_by_zero_fraction,
-    setting_one_config,
-    setting_one_deflation_config,
-    setting_two_config,
 )
 
 
@@ -111,13 +108,13 @@ class TestSampleMvn:
 
 class TestGenSettingOne:
     def test_constant_hurdle_zero_fraction(self):
-        cfg = setting_one_config(Flavor.HNB, gamma0=float(logit(0.3)), gamma1=0.0, n=20_000)
+        cfg = scenario_config(Setting.ONE, flavor=Flavor.HNB, gamma0=float(logit(0.3)), gamma1=0.0, n=20_000)
         y, _ = gen_setting_one(cfg, seed=0)
         se = math.sqrt(0.3 * 0.7 / len(y))
         assert abs(np.mean(y == 0) - 0.3) <= 3 * se
 
     def test_no_covariate_effect_mean(self):
-        cfg = setting_one_config(Flavor.ZINB, gamma0=float(logit(0.25)), beta1=0.0, gamma1=0.0, n=50_000)
+        cfg = scenario_config(Setting.ONE, flavor=Flavor.ZINB, gamma0=float(logit(0.25)), beta1=0.0, gamma1=0.0, n=50_000)
         y, _ = gen_setting_one(cfg, seed=1)
         mu, r, pi = 12.0, 0.5, 0.25
         mean = (1 - pi) * mu
@@ -125,18 +122,18 @@ class TestGenSettingOne:
         assert abs(y.mean() - mean) <= 3 * math.sqrt(var / len(y))
 
     def test_heavy_overdispersion_with_default_r(self):
-        cfg = setting_one_config(Flavor.ZINB, gamma0=-2.0)
+        cfg = scenario_config(Setting.ONE, flavor=Flavor.ZINB, gamma0=-2.0)
         y, _ = gen_setting_one(cfg, seed=2)
         assert np.var(y) > 5.0 * np.mean(y)
 
     def test_bit_reproducible(self):
-        cfg = setting_one_config(Flavor.HNB, gamma0=-1.0, n=300)
+        cfg = scenario_config(Setting.ONE, flavor=Flavor.HNB, gamma0=-1.0, n=300)
         ya, xa = gen_setting_one(cfg, seed=17)
         yb, xb = gen_setting_one(cfg, seed=17)
         assert np.array_equal(ya, yb) and np.array_equal(xa, xb)
 
     def test_deflation_defaults(self):
-        cfg = setting_one_deflation_config(gamma0=float(logit(0.2)))
+        cfg = scenario_config(Setting.ONE_DEFLATION, gamma0=float(logit(0.2)))
         assert cfg.n == 700 and cfg.r == 2.0 and cfg.gamma1 == 0.0
         assert cfg.beta0 == pytest.approx(math.log(6.0 / 7.0))
         y, _ = gen_setting_one(cfg, seed=3)
@@ -145,30 +142,30 @@ class TestGenSettingOne:
 
 class TestCalibrateGamma0:
     def test_hnb_no_covariate_effect_is_exact_logit(self):
-        cfg = setting_one_config(Flavor.HNB, gamma0=0.0, gamma1=0.0)
+        cfg = scenario_config(Setting.ONE, flavor=Flavor.HNB, gamma0=0.0, gamma1=0.0)
         assert resolve_setting_one_gamma0(cfg, 0.4, seed=0) == (float(logit(0.4)), "total")
 
     def test_zinb_structural_no_covariate_effect_is_exact_logit(self):
-        cfg = setting_one_config(Flavor.ZINB, gamma0=0.0, gamma1=0.0)
+        cfg = scenario_config(Setting.ONE, flavor=Flavor.ZINB, gamma0=0.0, gamma1=0.0)
         # 0.2 lies below the NB zero floor (~0.27), so only E[pi] can reach it
         assert resolve_setting_one_gamma0(cfg, 0.2, seed=0) == (float(logit(0.2)), "structural")
 
     def test_hnb_calibration_hits_target_on_fresh_data(self):
-        cfg = setting_one_config(Flavor.HNB, gamma0=0.0, n=100_000)
+        cfg = scenario_config(Setting.ONE, flavor=Flavor.HNB, gamma0=0.0, n=100_000)
         g0, mode = resolve_setting_one_gamma0(cfg, 0.40, seed=11)
         assert mode == "total"
         y, _ = gen_setting_one(SettingConfig(**{**cfg.__dict__, "gamma0": g0}), seed=12)
         assert abs(np.mean(y == 0) - 0.40) <= 0.01
 
     def test_zinb_calibration_hits_feasible_target(self):
-        cfg = setting_one_config(Flavor.ZINB, gamma0=0.0, n=100_000)
+        cfg = scenario_config(Setting.ONE, flavor=Flavor.ZINB, gamma0=0.0, n=100_000)
         g0, mode = resolve_setting_one_gamma0(cfg, 0.40, seed=13)
         assert mode == "total"
         y, _ = gen_setting_one(SettingConfig(**{**cfg.__dict__, "gamma0": g0}), seed=14)
         assert abs(np.mean(y == 0) - 0.40) <= 0.01
 
     def test_structural_fallback_resolution(self):
-        cfg = setting_one_config(Flavor.ZINB, gamma0=0.0)
+        cfg = scenario_config(Setting.ONE, flavor=Flavor.ZINB, gamma0=0.0)
         # the NB zero floor for these parameters is ~0.266
         g0, mode = resolve_setting_one_gamma0(cfg, 0.2, seed=0)
         assert mode == "structural"
@@ -178,7 +175,7 @@ class TestCalibrateGamma0:
         assert mode == "total"
 
     def test_validates_target(self):
-        cfg = setting_one_config(Flavor.HNB, gamma0=0.0)
+        cfg = scenario_config(Setting.ONE, flavor=Flavor.HNB, gamma0=0.0)
         with pytest.raises(ValueError):
             resolve_setting_one_gamma0(cfg, 1.2, seed=0)
 
@@ -187,7 +184,7 @@ class TestCalibrateGamma0:
     def test_newton_root_matches_a_brentq_reference(self, seed, flavor):
         """On criterion 2's grid: the same mode, and the root of a tight
         bracketing search on the same 1e5-draw curve."""
-        cfg = setting_one_config(flavor, gamma0=0.0)
+        cfg = scenario_config(Setting.ONE, flavor=flavor, gamma0=0.0)
         x = np.random.default_rng(seed).standard_normal(100_000)
         mu = np.exp(cfg.beta0 + cfg.beta1 * x)
         nb0 = np.exp(-cfg.r * np.log1p(mu / cfg.r))
@@ -208,7 +205,7 @@ class TestCalibrateGamma0:
 class TestGenSettingTwo:
     def test_independent_when_no_covariate_effect(self):
         spec = CorrelationSpec(CorrKind.AR, 0.9, 5)
-        cfg = setting_two_config(spec, beta1=0.0, gamma0=float(np.log(1 / 9)), gamma1=0.0)
+        cfg = scenario_config(Setting.TWO, corr=spec, beta1=0.0, gamma0=float(np.log(1 / 9)), gamma1=0.0)
         Y, _ = gen_setting_two(cfg, seed=0)
         from zicount import kendall_tau_matrix
 
@@ -218,7 +215,7 @@ class TestGenSettingTwo:
 
     def test_zero_fraction_from_logistic_intercept(self):
         spec = CorrelationSpec(CorrKind.AR, 0.3, 5)
-        cfg = setting_two_config(spec, beta1=0.0, gamma0=float(np.log(1 / 9)), gamma1=0.0)
+        cfg = scenario_config(Setting.TWO, corr=spec, beta1=0.0, gamma0=float(np.log(1 / 9)), gamma1=0.0)
         Y, _ = gen_setting_two(cfg, seed=1)
         zf = np.mean(Y == 0, axis=0)
         se = math.sqrt(0.1 * 0.9 / len(Y))
@@ -227,7 +224,7 @@ class TestGenSettingTwo:
     @pytest.mark.parametrize("gamma0", [np.log(1 / 20), np.log(1 / 9), np.log(1 / 3)])
     def test_zero_fraction_grid(self, gamma0):
         spec = CorrelationSpec(CorrKind.AR, 0.01, 5)
-        cfg = setting_two_config(spec, beta1=0.0, gamma0=float(gamma0), gamma1=0.0, n=4000)
+        cfg = scenario_config(Setting.TWO, corr=spec, beta1=0.0, gamma0=float(gamma0), gamma1=0.0, n=4000)
         Y, _ = gen_setting_two(cfg, seed=2)
         target = float(expit(gamma0))
         se = math.sqrt(target * (1 - target) / (len(Y) * 5))
@@ -235,14 +232,14 @@ class TestGenSettingTwo:
 
     def test_adjacent_columns_dependent_when_beta1_high(self):
         spec = CorrelationSpec(CorrKind.AR, 0.9, 5)
-        cfg = setting_two_config(spec, beta1=2.0, gamma0=float(np.log(1 / 9)), gamma1=0.0)
+        cfg = scenario_config(Setting.TWO, corr=spec, beta1=2.0, gamma0=float(np.log(1 / 9)), gamma1=0.0)
         Y, _ = gen_setting_two(cfg, seed=3)
         rho, pval = spearmanr(Y[:, 0], Y[:, 1])
         assert rho > 0.2 and pval < 1e-6
 
     def test_covariates_follow_spec_covariance(self):
         spec = CorrelationSpec(CorrKind.GD, 0.5, 5, orthogonal_seed=2)
-        cfg = setting_two_config(spec, beta1=1.0, gamma0=-2.0, gamma1=0.0, n=20_000)
+        cfg = scenario_config(Setting.TWO, corr=spec, beta1=1.0, gamma0=-2.0, gamma1=0.0, n=20_000)
         _, X = gen_setting_two(cfg, seed=4)
         from zicount.synth import realize_covariance
 
@@ -339,9 +336,11 @@ class TestGenSettingThree:
 
 # one small cell of each scenario, and its population as one array
 SMALL_CELLS = {
-    Setting.ONE: setting_one_config(Flavor.HNB, gamma0=0.0, n=60),
-    Setting.ONE_DEFLATION: setting_one_deflation_config(gamma0=0.0, n=60),
-    Setting.TWO: setting_two_config(CorrelationSpec(CorrKind.AR, 0.5, 5), 0.0, 0.0, 0.0, n=60),
+    Setting.ONE: scenario_config(Setting.ONE, flavor=Flavor.HNB, gamma0=0.0, n=60),
+    Setting.ONE_DEFLATION: scenario_config(Setting.ONE_DEFLATION, gamma0=0.0, n=60),
+    Setting.TWO: scenario_config(
+        Setting.TWO, corr=CorrelationSpec(CorrKind.AR, 0.5, 5), beta1=0.0, gamma0=0.0, gamma1=0.0, n=60
+    ),
     Setting.THREE: scenario_config(
         Setting.THREE, n=60, corr=CorrelationSpec(CorrKind.AR, 0.5, 5), marginal_source=heavy_tailed_source()
     ),
@@ -392,7 +391,7 @@ class TestSettingConfig:
 
     def test_unread_fields_are_named_together(self):
         with pytest.raises(ValueError, match=r"scenario one does not read \['p', 'zero_target'\]"):
-            setting_one_config(Flavor.HNB, gamma0=0.0, p=3, zero_target=0.4)
+            scenario_config(Setting.ONE, flavor=Flavor.HNB, gamma0=0.0, p=3, zero_target=0.4)
 
     @pytest.mark.parametrize(
         "setting, missing", [(Setting.TWO, "corr"), (Setting.THREE, "corr"), (Setting.THREE, "marginal_source")]
@@ -408,9 +407,11 @@ class TestSettingConfig:
             scenario_config(Setting.TWO, corr=CorrelationSpec(CorrKind.AR, 0.5, 3))
 
     def test_none_takes_the_scenario_constant(self):
-        one = setting_one_config(Flavor.ZINB, gamma0=-1.0, n=None, r=None)
+        one = scenario_config(Setting.ONE, flavor=Flavor.ZINB, gamma0=-1.0, n=None, r=None)
         assert (one.n, one.beta0, one.beta1, one.gamma1, one.r) == (500, pytest.approx(math.log(12.0)), 2.0, 2.0, 0.5)
-        two = setting_two_config(CorrelationSpec(CorrKind.AR, 0.5, LATENT_DIM), 1.0, -2.0, 0.0, n=None)
+        two = scenario_config(
+            Setting.TWO, corr=CorrelationSpec(CorrKind.AR, 0.5, LATENT_DIM), beta1=1.0, gamma0=-2.0, gamma1=0.0, n=None
+        )
         assert (two.n, two.p, two.beta0, two.r, LATENT_DIM) == (1200, 5, 2.75, 6.0, 5)
         three = scenario_config(Setting.THREE, corr=two.corr, marginal_source=heavy_tailed_source(), n=None)
         assert (three.n, three.p, three.zero_target, three.transform) == (1200, 5, 0.5, "none")
